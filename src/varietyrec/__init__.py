@@ -5,7 +5,7 @@ solvers for sparse, low-rank, and quadratic (phase) sampling."""
 
 from .varieties import (VarietySpec, dim_sparse, dim_low_rank,
                         dim_complex_symmetric, difference_closure, project,
-                        membership)
+                        membership, equivalence_distance)
 from .sampling import (MeasurementEnsemble, SampleVector, apply,
                        lift_rank_one, lift_ensemble, tau, tau_inverse,
                        gen_gaussian_vectors, gen_gaussian_matrices,
@@ -23,13 +23,11 @@ from .injectivity import (SearchConfig, Witness, SearchResult,
                           CERTIFIED_EXACT, NO_WITNESS_FOUND,
                           REFUTED_WITH_WITNESS, INCONCLUSIVE,
                           VANISHES_ON_ALL_SAMPLES, NON_DEGENERATE)
-from .bounds import (BoundsReport, BinaryProfile, alpha, binary_profile,
-                     generic_minimum, codim_bad_set, sparse_minimal,
+from .bounds import (BoundsReport, alpha, codim_bad_set, sparse_minimal,
                      lowrank_minimal, real_pr_bounds, complex_pr_bounds,
                      standard_pr_facts, generic_report)
 from .recovery import (RecoverConfig, RecoveryOutcome, recover_sparse,
-                       recover_low_rank, recover_phase, equivalence_distance,
-                       phase_transition_sweep)
+                       recover_low_rank, recover_phase, phase_transition_sweep)
 from .refdata import (BUILTIN_11_MATRICES, builtin11_ensemble, corner_skew,
                       data_digest, EXPECTED_DIGEST)
 

@@ -44,33 +44,12 @@ class BoundsReport:
         }
 
 
-@dataclasses.dataclass
-class BinaryProfile:
-    """Popcount record for an integer's binary expansion."""
-
-    n: int
-    alpha: int
-
-
 def alpha(n):
     """Number of 1's in the binary expansion of ``n``."""
     n = int(n)
     if n < 0:
         raise ValueError("alpha expects a nonnegative integer")
     return n.bit_count()
-
-
-def binary_profile(n):
-    return BinaryProfile(n=int(n), alpha=alpha(n))
-
-
-def generic_minimum(dim_w):
-    """Measurements needed so a generic operator separates a difference
-    variety of the given dimension from zero: exactly ``dim_w``."""
-    dim_w = int(dim_w)
-    if dim_w < 0:
-        raise ValueError("dimension must be nonnegative")
-    return dim_w
 
 
 def codim_bad_set(m, dim_w):
@@ -281,11 +260,15 @@ def standard_pr_facts(d):
 
 
 def generic_report(dim_w, m=None):
-    """Report for an abstract difference variety of dimension ``dim_w``."""
-    exact = generic_minimum(dim_w)
+    """Report for an abstract difference variety of dimension ``dim_w``:
+    a generic operator separates it from zero with exactly ``dim_w``
+    measurements."""
+    dim_w = int(dim_w)
+    if dim_w < 0:
+        raise ValueError("dimension must be nonnegative")
     codim = codim_bad_set(m, dim_w) if m is not None and m >= dim_w else None
     return BoundsReport(
-        setting="generic_variety", params={"dim_w": int(dim_w), "m": m},
-        lower=exact, upper=exact, exact=exact,
+        setting="generic_variety", params={"dim_w": dim_w, "m": m},
+        lower=dim_w, upper=dim_w, exact=dim_w,
         regime="generic dimension count", codim_bad_set=codim,
     )

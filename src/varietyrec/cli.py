@@ -6,6 +6,7 @@ code is 0 unless a command fails or a ``verify`` check does not pass.
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -15,8 +16,8 @@ from . import jsonio
 from .injectivity import (REFUTED_WITH_WITNESS, NO_WITNESS_FOUND,
                           SearchConfig, admissibility_probe, certify,
                           symmetric_sampler, verify_kernel_minor_system)
-from .recovery import (RecoverConfig, phase_transition_sweep, recover_low_rank,
-                       recover_phase, recover_sparse)
+from .recovery import (PHASE_CONFIG, RecoverConfig, phase_transition_sweep,
+                       recover_low_rank, recover_phase, recover_sparse)
 from .refdata import (EXPECTED_DIGEST, builtin11_ensemble, corner_skew,
                       data_digest)
 from .sampling import (gen_gaussian_matrices, gen_gaussian_vectors,
@@ -256,11 +257,14 @@ def cmd_recover(args):
 
 def cmd_sweep(args):
     r_or_k = args.k if args.k is not None else args.r
+    overrides = {name: value for name, value in (
+        ("max_iters", args.max_iters), ("restarts", args.solver_restarts))
+        if value is not None}
     cfg = None
-    if args.max_iters is not None or args.solver_restarts is not None:
-        cfg = RecoverConfig(max_iters=args.max_iters or 2000,
-                            restarts=args.solver_restarts or 10,
-                            seed=args.seed)
+    if overrides:
+        # each override replaces one field of the solver's own default
+        base = PHASE_CONFIG if args.setting == "phase" else RecoverConfig()
+        cfg = dataclasses.replace(base, seed=args.seed, **overrides)
     rows = phase_transition_sweep(args.setting, args.d, r_or_k,
                                   _parse_range(args.m_range), args.trials,
                                   seed=args.seed, field=args.field, cfg=cfg)

@@ -18,6 +18,7 @@ pair of distinct signals with identical samples.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -27,7 +28,7 @@ from .sampling import (MeasurementEnsemble, apply, derived_rng, lift_ensemble,
                        lift_rank_one, tau, tau_inverse)
 from .varieties import (KIND_HERM_SIG, KIND_LOW_RANK, KIND_RANK_ONE_REAL,
                         KIND_SPARSE, SIGNAL_KINDS, difference_closure,
-                        project)
+                        equivalence_distance, hermitize, project)
 
 CERTIFIED_EXACT = "certified_exact"
 NO_WITNESS_FOUND = "no_witness_found"
@@ -108,11 +109,6 @@ class ProbeResult:
     sample: np.ndarray = None
     value: complex = None
     samples_checked: int = 0
-
-
-def _hermitize(x):
-    x = np.asarray(x)
-    return 0.5 * (x + x.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +198,7 @@ def _to_coords(x, mode):
     if mode == "complex":
         v = x.ravel()
         return np.concatenate([v.real, v.imag])
-    return tau_inverse(_hermitize(x)).ravel()
+    return tau_inverse(hermitize(x)).ravel()
 
 
 def _from_coords(v, shape, mode):
@@ -227,7 +223,7 @@ def _stacked_rows(e, mode):
             rows.append(np.concatenate([a.real, a.imag]))
             rows.append(np.concatenate([a.imag, -a.real]))
         else:
-            rows.append(tau_inverse(_hermitize(op)).ravel())
+            rows.append(tau_inverse(hermitize(op)).ravel())
     return np.array(rows, dtype=float)
 
 
@@ -361,12 +357,10 @@ def witness_to_collision(q, signal):
         y[idx[half:]] = -q[idx[half:]]
         return x, y
     if signal.kind == KIND_LOW_RANK:
-        r = signal.param
-        u, s, vh = np.linalg.svd(q, full_matrices=False)
-        x = (u[:, :r] * s[:r]) @ vh[:r]
+        x = project(q, signal)
         return x, x - q
     if signal.kind == KIND_HERM_SIG:
-        vals, vecs = np.linalg.eigh(_hermitize(q))
+        vals, vecs = np.linalg.eigh(hermitize(q))
         ip, im = int(np.argmax(vals)), int(np.argmin(vals))
         lam_p = max(float(vals[ip]), 0.0)
         lam_m = max(float(-vals[im]), 0.0)
@@ -401,8 +395,6 @@ def collision_residual(e, signal, x, y):
 
 def collision_is_distinct(x, y, signal, tol=1e-8):
     """True when the two collision signals are not equivalent."""
-    from .recovery import equivalence_distance
-
     if signal.kind in (KIND_HERM_SIG, KIND_RANK_ONE_REAL):
         field = "complex" if signal.kind == KIND_HERM_SIG else "real"
         scale = max(np.linalg.norm(x), np.linalg.norm(y), 1.0)
@@ -449,12 +441,6 @@ def _symmetrized(e):
                                operators=ops, seed=e.seed, hermitian=True)
 
 
-def _hermitized(e):
-    ops = [_hermitize(op) for op in e.operators]
-    return MeasurementEnsemble(field="complex", shape="matrix", d=e.d,
-                               operators=ops, seed=e.seed, hermitian=True)
-
-
 def certify(e, signal, cfg=None):
     """Decide injectivity of the sampling map on a signal variety.
 
@@ -482,15 +468,10 @@ def certify(e, signal, cfg=None):
             vectors = _rank_one_vectors(e)
             e_search = _symmetrized(e)
     elif signal.kind == KIND_HERM_SIG:
+        # matrix operators go to witness_search as they are: it rejects
+        # non-Hermitian ones and reads each through its Hermitian part
         if e.shape == "vector":
             e_search = lift_ensemble(e)
-        else:
-            for op in e.operators:
-                dev = np.max(np.abs(op - op.conj().T))
-                if dev > 1e-10 * max(1.0, float(np.linalg.norm(op))):
-                    raise ValueError("herm_sig certification needs Hermitian "
-                                     "operators")
-            e_search = e if e.hermitian else _hermitized(e)
     else:
         if w.ambient[0] != e.shape or w.d != e.d:
             raise ValueError("variety ambient does not match ensemble shape")
@@ -536,9 +517,12 @@ def certify(e, signal, cfg=None):
             collision=witness_to_collision(result.witness.element, signal),
             restarts_used=result.restarts_used, iterations=result.iterations,
             tolerances=tols)
-    status = (NO_WITNESS_FOUND if result.margin > cfg.margin_threshold
+    # a search in which no restart reached a residual gives no evidence
+    margin = None if math.isinf(result.margin) else result.margin
+    status = (NO_WITNESS_FOUND
+              if margin is not None and margin > cfg.margin_threshold
               else INCONCLUSIVE)
-    return InjectivityVerdict(status=status, margin=result.margin,
+    return InjectivityVerdict(status=status, margin=margin,
                               restarts_used=result.restarts_used,
                               iterations=result.iterations, tolerances=tols)
 
@@ -557,57 +541,58 @@ def minor_residual(q, r):
     r = int(r)
     if r < 0:
         raise ValueError("rank bound must be nonnegative")
-    d = q.shape[0]
-    size = r + 1
-    if size > d:
-        return 0.0
-    combos = np.array(list(itertools.combinations(range(d), size)))
-    batch = q[combos[:, None, :, None], combos[None, :, None, :]]
-    dets = np.linalg.det(batch.reshape(-1, size, size))
+    gather, _, _, _ = _minor_indices(q.shape[0], r + 1)
+    dets = np.linalg.det(q.ravel()[gather])
     return float(np.sum(np.abs(dets) ** 2))
 
 
-_MINOR_INDEX_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _minor_indices(d, size):
-    """Gather/scatter index arrays for all size x size submatrices."""
-    key = (d, size)
-    hit = _MINOR_INDEX_CACHE.get(key)
-    if hit is None:
-        idx = np.array(list(itertools.combinations(range(d), size)))
-        nc = idx.shape[0]
-        gather = (idx[:, None, :, None] * d + idx[None, :, None, :])
-        hit = (idx, gather.reshape(-1, size, size), nc)
-        _MINOR_INDEX_CACHE[key] = hit
-    return hit
+    """Index arrays for the size x size minors of a d x d matrix.
+
+    ``gather`` picks every size x size submatrix out of the flattened
+    matrix, ordered by (row combination, column combination);
+    ``sub_gather`` does the same for the (size-1) x (size-1) submatrices.
+    Deleting row i and column j of submatrix k leaves the submatrix
+    ``cofactor[k, i, j]`` of ``sub_gather``, with sign ``sign[i, j]``.
+    There are no submatrices when size > d, and one 0 x 0 submatrix when
+    size is 0.
+    """
+    def submatrices(k):
+        combos = list(itertools.combinations(range(d), k))
+        n = len(combos)
+        idx = np.array(combos, dtype=np.intp).reshape(n, k)
+        flat = idx[:, None, :, None] * d + idx[None, :, None, :]
+        return combos, flat.reshape(n * n, k, k)
+
+    combos, gather = submatrices(size)
+    subs, sub_gather = submatrices(size - 1)
+    position = {c: n for n, c in enumerate(subs)}
+    drop = np.array([[position[c[:i] + c[i + 1:]] for i in range(size)]
+                     for c in combos], dtype=np.intp).reshape(-1, size)
+    cofactor = drop[:, None, :, None] * len(subs) + drop[None, :, None, :]
+    sign = (-1.0) ** np.add.outer(np.arange(size), np.arange(size))
+    return gather, sub_gather, cofactor.reshape(-1, size, size), sign
 
 
 def _minor_residual_and_grad(q, r):
-    """Residual and its gradient for a real matrix (descent inner loop)."""
+    """Residual and its gradient for a real matrix (descent inner loop).
+
+    The gradient of det(M) is its cofactor matrix, and every cofactor of
+    an (r+1)-minor of ``q`` is a signed r-minor of ``q``, so one batched
+    determinant of the r x r submatrices gives all of them (the 0 x 0
+    determinant is 1).
+    """
     d = q.shape[0]
-    size = r + 1
-    if size > d:
-        return 0.0, np.zeros_like(q)
-    _, gather, _ = _minor_indices(d, size)
-    batch = q.ravel()[gather]
-    dets = np.linalg.det(batch)
+    gather, sub_gather, cofactor, sign = _minor_indices(d, r + 1)
+    flat = q.ravel()
+    dets = np.linalg.det(flat[gather])
     f = float(np.sum(dets ** 2))
-    if size == 3:
-        cof = np.cross(batch[:, [1, 2, 0], :], batch[:, [2, 0, 1], :])
-    elif size == 1:
-        cof = np.ones_like(batch)
-    else:
-        cof = np.empty_like(batch)
-        for k, sub in enumerate(batch):
-            for i in range(size):
-                for j in range(size):
-                    minor = np.delete(np.delete(sub, i, 0), j, 1)
-                    cof[k, i, j] = (-1) ** (i + j) * np.linalg.det(minor)
+    cof = sign * np.linalg.det(flat[sub_gather])[cofactor]
     contrib = 2.0 * dets[:, None, None] * cof
     grad = np.bincount(gather.ravel(), weights=contrib.ravel(),
                        minlength=d * d).reshape(d, d)
-    return f, grad
+    return f, grad.astype(float, copy=False)  # bincount of nothing is int
 
 
 def _sphere_descent(fg, t, max_iters):

@@ -2,9 +2,11 @@
 
 Output of :func:`dumps` is byte-stable for a given value: keys sorted,
 floats printed with 17 significant digits (round-trip exact for float64).
+It is strict JSON: NaN and infinities are written as ``null``.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -18,14 +20,7 @@ def _render(obj, out):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if x != x:
-            out.append("NaN")
-        elif x == float("inf"):
-            out.append("Infinity")
-        elif x == float("-inf"):
-            out.append("-Infinity")
-        else:
-            out.append(format(x, ".17g"))
+        out.append(format(x, ".17g") if math.isfinite(x) else "null")
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):

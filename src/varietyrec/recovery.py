@@ -14,8 +14,9 @@ import math
 
 import numpy as np
 
-from .sampling import (SampleVector, apply, derived_rng, lift_ensemble)
-from .varieties import VarietySpec, project
+from .sampling import (SampleVector, apply, derived_rng, gen_gaussian_matrices,
+                       gen_gaussian_vectors, lift_ensemble)
+from .varieties import VarietySpec, equivalence_distance, hermitize, project
 
 _STREAM_IHT = 30
 _STREAM_POWER = 31
@@ -39,6 +40,10 @@ class RecoverConfig:
     stall_window: int = 80
 
 
+# recover_phase's default: many short restarts, each ending in a local polish
+PHASE_CONFIG = RecoverConfig(restarts=30, stall_ratio=0.5)
+
+
 @dataclasses.dataclass
 class RecoveryOutcome:
     estimate: np.ndarray
@@ -50,27 +55,10 @@ class RecoveryOutcome:
 
 
 def _as_samples(y):
-    if isinstance(y, SampleVector):
-        return y.y
-    return np.asarray(y, dtype=np.complex128)
-
-
-def equivalence_distance(x, y, field="real"):
-    """Distance between signals up to a sign (real) or a unimodular
-    constant (complex): min over |c| = 1 of ||x - c y||.
-
-    The minimizing constant is the phase of <y, x> (in closed form the
-    distance is sqrt(||x||^2 + ||y||^2 - 2 |<x, y>|)); evaluating the
-    aligned difference directly avoids the cancellation that would cap
-    the closed form's accuracy near zero at sqrt(eps).
-    """
-    x = np.asarray(x).ravel()
-    y = np.asarray(y).ravel()
-    if field == "real":
-        return float(min(np.linalg.norm(x - y), np.linalg.norm(x + y)))
-    inner = complex(np.vdot(y, x))
-    c = inner / abs(inner) if inner != 0 else 1.0
-    return float(np.linalg.norm(x - c * y))
+    yv = y.y if isinstance(y, SampleVector) else np.asarray(y, np.complex128)
+    if not np.all(np.isfinite(yv)):
+        raise ValueError("non-finite samples")
+    return yv
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +184,7 @@ def _iht(e, yv, project_fn, cfg, hermitian=False, polish_fn=None,
             if not real_field:
                 g = g + 1j * rng.standard_normal((d, d))
             if hermitian:
-                g = 0.5 * (g + g.conj().T)
+                g = hermitize(g)
             x = project_fn(g / np.linalg.norm(g) * scale0)
         run_best = (residual(x), x)
         history = [run_best[0]]
@@ -205,7 +193,7 @@ def _iht(e, yv, project_fn, cfg, hermitian=False, polish_fn=None,
                 break
             g = adjoint(yc - samples(x))
             if hermitian:
-                g = 0.5 * (g + g.conj().T)
+                g = hermitize(g)
             mg2 = float(np.linalg.norm(samples(g)) ** 2)
             eta = float(np.linalg.norm(g) ** 2) / mg2 if mg2 > 0 else mu
             if not np.isfinite(eta) or eta <= 0:
@@ -263,7 +251,7 @@ def recover_low_rank(e, y, r, cfg=None, truth=None):
 
 def _psd_rank_one(x):
     """Projection onto Hermitian PSD rank <= 1 (top positive eigenpair)."""
-    h = 0.5 * (x + x.conj().T)
+    h = hermitize(x)
     vals, vecs = np.linalg.eigh(h)
     lam = float(vals[-1])
     if lam <= 0.0:
@@ -274,7 +262,7 @@ def _psd_rank_one(x):
 
 def _top_vector(x):
     """sqrt(lambda_1) u_1 from the top eigenpair of the hermitized input."""
-    vals, vecs = np.linalg.eigh(0.5 * (x + np.asarray(x).conj().T))
+    vals, vecs = np.linalg.eigh(hermitize(x))
     lam = float(vals[-1])
     if lam <= 0.0:
         return np.zeros(x.shape[0], dtype=complex)
@@ -333,7 +321,7 @@ def recover_phase(e, y, cfg=None, truth=None):
     count the lifted landscape has small basins, and many short runs,
     each ending in a local polish, beat a few long ones.
     """
-    cfg = cfg or RecoverConfig(restarts=30, stall_ratio=0.5)
+    cfg = cfg or PHASE_CONFIG
     e_mat = lift_ensemble(e) if e.shape == "vector" else e
     field = e.field
     yv = _as_samples(y)
@@ -385,8 +373,6 @@ def recover_phase(e, y, cfg=None, truth=None):
 
 
 def _sparse_trial(d, k, m, field, rng, cfg):
-    from .sampling import gen_gaussian_vectors
-
     seed = int(rng.integers(2 ** 31))
     e = gen_gaussian_vectors(d, m, field=field, seed=seed)
     x = np.zeros(d, dtype=np.float64 if field == "real" else np.complex128)
@@ -401,8 +387,6 @@ def _sparse_trial(d, k, m, field, rng, cfg):
 
 
 def _low_rank_trial(d, r, m, field, rng, cfg):
-    from .sampling import gen_gaussian_matrices
-
     seed = int(rng.integers(2 ** 31))
     e = gen_gaussian_matrices(d, m, field=field, seed=seed)
     u = rng.standard_normal((d, r))
@@ -417,8 +401,6 @@ def _low_rank_trial(d, r, m, field, rng, cfg):
 
 
 def _phase_trial(d, m, field, rng, cfg):
-    from .sampling import gen_gaussian_vectors
-
     seed = int(rng.integers(2 ** 31))
     e = gen_gaussian_vectors(d, m, field=field, seed=seed)
     x = rng.standard_normal(d)

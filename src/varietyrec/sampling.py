@@ -292,14 +292,18 @@ def ensemble_to_json(e):
 
 
 def ensemble_from_json(obj):
-    ops = [jsonio.array_from_json(o, obj["field"]) for o in obj["operators"]]
-    if len(ops) != int(obj["m"]):
-        raise ValueError("operator count disagrees with m")
-    return MeasurementEnsemble(
-        field=obj["field"], shape=obj["shape"], d=int(obj["d"]), operators=ops,
-        ranks=obj.get("ranks"), seed=obj.get("seed"),
-        hermitian=bool(obj.get("hermitian", False)),
-    )
+    try:
+        ops = [jsonio.array_from_json(o, obj["field"])
+               for o in obj["operators"]]
+        if len(ops) != int(obj["m"]):
+            raise ValueError("operator count disagrees with m")
+        return MeasurementEnsemble(
+            field=obj["field"], shape=obj["shape"], d=int(obj["d"]),
+            operators=ops, ranks=obj.get("ranks"), seed=obj.get("seed"),
+            hermitian=bool(obj.get("hermitian", False)),
+        )
+    except KeyError as exc:
+        raise ValueError(f"ensemble JSON lacks key {exc.args[0]!r}") from None
 
 
 def save_ensemble(path, e):
@@ -321,8 +325,11 @@ def samples_to_json(s):
 
 
 def samples_from_json(obj):
-    return SampleVector(y=jsonio.array_from_json(obj["y"]),
-                        provenance=obj.get("provenance"))
+    try:
+        return SampleVector(y=jsonio.array_from_json(obj["y"]),
+                            provenance=obj.get("provenance"))
+    except KeyError as exc:
+        raise ValueError(f"samples JSON lacks key {exc.args[0]!r}") from None
 
 
 def save_samples(path, s):

@@ -179,6 +179,13 @@ def _check_shape(x, w):
         raise ValueError(f"shape {x.shape} does not match ambient {w.ambient}")
 
 
+def hermitize(x):
+    """Hermitian part ``(x + x*) / 2`` of a square matrix; applying it
+    twice gives the same bits as applying it once."""
+    x = np.asarray(x)
+    return 0.5 * (x + x.conj().T)
+
+
 def project(x, w):
     """Metric (Frobenius/Euclidean) projection of ``x`` onto ``w``.
 
@@ -210,7 +217,7 @@ def project(x, w):
         return (u[:, :r] * s[:r]) @ vh[:r]
 
     if w.kind == KIND_HERM_SIG:
-        h = 0.5 * (x + x.conj().T).astype(complex)
+        h = hermitize(x).astype(complex)
         vals, vecs = np.linalg.eigh(h)
         out = np.zeros_like(h)
         ip = int(np.argmax(vals))
@@ -260,9 +267,27 @@ def membership(x, w, tol=1e-8):
     if w.kind == KIND_HERM_SIG:
         if np.linalg.norm(x - np.asarray(x).conj().T) > thresh:
             return False
-        vals = np.linalg.eigvalsh(0.5 * (x + np.asarray(x).conj().T))
+        vals = np.linalg.eigvalsh(hermitize(x))
         n_pos = int(np.sum(vals > thresh))
         n_neg = int(np.sum(vals < -thresh))
         return n_pos <= 1 and n_neg <= 1
 
     raise ValueError(f"unknown kind {w.kind!r}")
+
+
+def equivalence_distance(x, y, field="real"):
+    """Distance between signals up to a sign (real) or a unimodular
+    constant (complex): min over |c| = 1 of ||x - c y||.
+
+    The minimizing constant is the phase of <y, x> (in closed form the
+    distance is sqrt(||x||^2 + ||y||^2 - 2 |<x, y>|)); evaluating the
+    aligned difference directly avoids the cancellation that would cap
+    the closed form's accuracy near zero at sqrt(eps).
+    """
+    x = np.asarray(x).ravel()
+    y = np.asarray(y).ravel()
+    if field == "real":
+        return float(min(np.linalg.norm(x - y), np.linalg.norm(x + y)))
+    inner = complex(np.vdot(y, x))
+    c = inner / abs(inner) if inner != 0 else 1.0
+    return float(np.linalg.norm(x - c * y))

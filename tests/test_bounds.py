@@ -1,9 +1,9 @@
 import pytest
 
 from varietyrec import (alpha, codim_bad_set, complex_pr_bounds,
-                        difference_closure, dim_low_rank, generic_minimum,
-                        generic_report, lowrank_minimal, real_pr_bounds,
-                        sparse_minimal, standard_pr_facts, VarietySpec)
+                        difference_closure, dim_low_rank, generic_report,
+                        lowrank_minimal, real_pr_bounds, sparse_minimal,
+                        standard_pr_facts, VarietySpec)
 
 
 def test_alpha_examples_and_brute_force():
@@ -17,7 +17,6 @@ def test_alpha_examples_and_brute_force():
 
 
 def test_generic_minimum_and_codim():
-    assert generic_minimum(12) == 12
     assert codim_bad_set(12, 12) == 1
     assert codim_bad_set(15, 12) == 4
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from varietyrec import apply, load_ensemble, save_samples
+from varietyrec import apply, load_ensemble, recovery, save_samples
 from varietyrec.cli import main
 
 
@@ -117,3 +117,51 @@ def test_demo_admissibility(capsys):
 def test_error_exit_code(capsys):
     code, _ = _run(capsys, "certify", "--variety", "low_rank:4:1")
     assert code == 2
+
+
+def test_malformed_input_exit_code(capsys, tmp_path):
+    path = tmp_path / "e.json"
+    path.write_text('{"field": "real"}')
+    code = main(["certify", "--ensemble", str(path), "--variety", "sparse:2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "operators" in err
+    epath, ypath = tmp_path / "g.json", tmp_path / "y.json"
+    main(["generate", "--d", "3", "--m", "4", "--out", str(epath)])
+    ypath.write_text("{}")
+    code = main(["recover", "--ensemble", str(epath), "--samples", str(ypath),
+                 "--variety", "sparse:1"])
+    assert code == 2 and "error:" in capsys.readouterr().err
+
+
+def test_certify_empty_search_is_strict_json(capsys):
+    code, out = _run(capsys, "certify", "--d", "4", "--m", "12", "--r", "1",
+                     "--field", "complex", "--restarts", "0")
+
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    doc = json.loads(out, parse_constant=reject)
+    assert code == 0
+    assert doc["status"] == "inconclusive" and doc["margin"] is None
+
+
+def test_sweep_override_keeps_solver_defaults(capsys, monkeypatch):
+    seen = []
+
+    def fake_recover_phase(e, y, cfg=None, truth=None):
+        seen.append(cfg)
+        return recovery.RecoveryOutcome(estimate=truth, residual=0.0,
+                                        equivalence_distance=0.0,
+                                        converged=True)
+
+    monkeypatch.setattr(recovery, "recover_phase", fake_recover_phase)
+    _run(capsys, "sweep", "--setting", "phase", "--d", "3", "--m-range",
+         "5:5", "--trials", "1", "--max-iters", "2000")
+    _run(capsys, "sweep", "--setting", "phase", "--d", "3", "--m-range",
+         "5:5", "--trials", "1", "--solver-restarts", "7")
+    first, second = seen
+    assert (first.max_iters, first.restarts, first.stall_ratio) == (2000, 30,
+                                                                    0.5)
+    assert (second.max_iters, second.restarts,
+            second.stall_ratio) == (2000, 7, 0.5)

@@ -16,6 +16,7 @@ from varietyrec import (CERTIFIED_EXACT, INCONCLUSIVE, NO_WITNESS_FOUND,
                         minor_residual, symmetric_sampler,
                         verify_kernel_minor_system, witness_search,
                         witness_to_collision)
+from varietyrec.injectivity import _minor_residual_and_grad
 
 
 def _basis_matrix(d, i, j):
@@ -60,6 +61,35 @@ def test_complement_property_invariances():
         perm = rng.permutation(5)
         ok, _ = complement_property(a[perm])
         assert ok == base
+
+
+def _complement_oracle(a):
+    """Lexicographically first subset that, like its complement, fails to
+    span, by enumerating every subset."""
+    m, d = a.shape
+
+    def rank(rows):
+        return np.linalg.matrix_rank(a[list(rows)]) if rows else 0
+
+    failing = [s for size in range(m + 1)
+               for s in itertools.combinations(range(m), size)
+               if rank(s) < d
+               and rank([j for j in range(m) if j not in s]) < d]
+    return (False, min(failing)) if failing else (True, None)
+
+
+def test_complement_property_matches_brute_force():
+    rng = np.random.default_rng(7)
+    for trial in range(120):
+        m = int(rng.integers(1, 11))
+        d = int(rng.integers(1, 6))
+        if trial % 2:
+            rank = int(rng.integers(0, d + 1))
+            a = (rng.integers(-2, 3, (m, rank))
+                 @ rng.integers(-2, 3, (rank, d))).astype(float)
+        else:
+            a = rng.integers(-1, 2, (m, d)).astype(float)
+        assert complement_property(a) == _complement_oracle(a), a
 
 
 def test_complement_property_guard():
@@ -193,6 +223,12 @@ def test_certify_rejects_non_signal_variety():
         certify(e, VarietySpec.sym_low_rank(3, 1))
 
 
+def test_certify_herm_sig_rejects_non_hermitian_operators():
+    e = gen_gaussian_matrices(3, 6, "complex", seed=0)
+    with pytest.raises(ValueError):
+        certify(e, VarietySpec.herm_sig(3))
+
+
 # ---------------------------------------------------------------------------
 # witness -> collision
 # ---------------------------------------------------------------------------
@@ -248,6 +284,31 @@ def test_minor_residual_examples():
         for cols in itertools.combinations(range(4), 3):
             brute += np.linalg.det(q[np.ix_(rows, cols)]) ** 2
     assert abs(minor_residual(q, 2) - brute) <= 1e-9 * max(1.0, brute)
+
+
+def test_minor_gradient_matches_cofactor_expansion():
+    rng = np.random.default_rng(8)
+    for d in range(1, 7):
+        for size in range(1, d + 2):  # size d + 1: no minors, all zero
+            q = rng.standard_normal((d, d))
+            f_want = 0.0
+            g_want = np.zeros((d, d))
+            for rows in itertools.combinations(range(d), size):
+                for cols in itertools.combinations(range(d), size):
+                    sub = q[np.ix_(rows, cols)]
+                    det = np.linalg.det(sub)
+                    f_want += det ** 2
+                    for i in range(size):
+                        for j in range(size):
+                            minor = np.delete(np.delete(sub, i, 0), j, 1)
+                            g_want[rows[i], cols[j]] += (
+                                2.0 * det * (-1) ** (i + j)
+                                * np.linalg.det(minor))
+            f, g = _minor_residual_and_grad(q, size - 1)
+            assert g.dtype == np.float64
+            assert abs(f - f_want) <= 1e-12 * max(1.0, f_want), (d, size)
+            assert np.allclose(g, g_want, rtol=1e-10,
+                               atol=1e-12 * max(1.0, np.abs(g_want).max()))
 
 
 def test_minor_residual_matches_rank_membership():

@@ -117,6 +117,12 @@ def test_recover_sparse_budget_guard():
 # ---------------------------------------------------------------------------
 
 
+def test_recover_rejects_non_finite_samples():
+    e = gen_gaussian_vectors(8, 4, "real", seed=0)
+    with pytest.raises(ValueError):
+        recover_sparse(e, [math.nan] * 4, 2)
+
+
 def test_recover_low_rank_full_basis_immediate():
     d = 3
     ops = [_basis_matrix(d, i, j) for i in range(d) for j in range(d)]
