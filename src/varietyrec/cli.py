@@ -103,36 +103,50 @@ def _parse_range(text):
     return range(int(lo), int(hi) + 1)
 
 
+def _required(value, name):
+    if value is None:
+        raise ValueError(f"missing parameter {name}")
+    return value
+
+
+def _solver_config(variety, seed, **overrides):
+    """The chosen solver's own default with ``seed`` and the given fields."""
+    base = PHASE_CONFIG if variety == "phase" else RecoverConfig()
+    return dataclasses.replace(base, seed=seed, **overrides)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_dims(args):
-    pos = [args.kind] + [int(x) for x in args.values]
-    kind = pos[0]
+    kind = args.kind
+    values = [int(x) for x in args.values]
+    d = values[0]
+    param = values[1] if len(values) > 1 else None
     if kind == KIND_SPARSE:
-        dim = dim_sparse(pos[1], pos[2])
+        dim = dim_sparse(d, _required(param, "k"))
     elif kind == KIND_LOW_RANK:
-        dim = dim_low_rank(pos[1], pos[2])
+        dim = dim_low_rank(d, _required(param, "r"))
     elif kind == "sym_low_rank":
-        dim = dim_complex_symmetric(pos[1], pos[2])
+        dim = dim_complex_symmetric(d, _required(param, "r"))
     elif kind == KIND_HERM_SIG:
-        dim = VarietySpec.herm_sig(pos[1]).dimension()
+        dim = VarietySpec.herm_sig(d).dimension()
     elif kind == KIND_RANK_ONE_REAL:
-        dim = VarietySpec.rank_one_real(pos[1]).dimension()
+        dim = VarietySpec.rank_one_real(d).dimension()
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    param = pos[2] if len(pos) > 2 else None
-    _emit(args, {"kind": kind, "d": pos[1], "k_or_r": param, "dimension": dim})
+    _emit(args, {"kind": kind, "d": d, "k_or_r": param, "dimension": dim})
     return 0
 
 
 def _bounds_report(setting, d, args):
     if setting == "sparse":
-        return bounds_mod.sparse_minimal(d, args.k)
+        return bounds_mod.sparse_minimal(d, _required(args.k, "--k"))
     if setting == "low_rank":
-        return bounds_mod.lowrank_minimal(d, args.r, args.field or "complex")
+        return bounds_mod.lowrank_minimal(d, _required(args.r, "--r"),
+                                          args.field or "complex")
     if setting == "real_pr":
         return bounds_mod.real_pr_bounds(d)
     if setting == "complex_pr":
@@ -140,7 +154,8 @@ def _bounds_report(setting, d, args):
     if setting == "standard_pr":
         return bounds_mod.standard_pr_facts(d)
     if setting == "generic":
-        return bounds_mod.generic_report(args.dim_w, args.m)
+        return bounds_mod.generic_report(_required(args.dim_w, "--dim-w"),
+                                         args.m)
     raise ValueError(f"unknown setting {setting!r}")
 
 
@@ -169,13 +184,13 @@ def cmd_bounds(args):
             rows.append(rep.to_json())
             exact = "" if rep.exact is None else str(rep.exact)
             lines.append(f"{dd},{rep.lower},{rep.upper},{exact},{rep.regime}")
-        if args.format == "csv" or args.format is None:
-            _emit(args, text="\n".join(lines))
-        else:
+        if args.format == "json":
             _emit(args, rows)
+        else:
+            _emit(args, text="\n".join(lines))
         return 0
-    if d is None and setting not in ("generic",):
-        raise ValueError("--d is required")
+    if setting != "generic":
+        _required(d, "--d")
     _emit(args, _bounds_report(setting, d, args).to_json())
     return 0
 
@@ -239,8 +254,8 @@ def cmd_recover(args):
     truth = None
     if args.truth:
         truth = np.asarray(load_samples(args.truth).y)
-    cfg = RecoverConfig(tol_fit=args.tol, seed=args.seed)
     parts = args.variety.split(":")
+    cfg = _solver_config(parts[0], args.seed, tol_fit=args.tol)
     if parts[0] == "sparse":
         out = recover_sparse(e, y, int(parts[-1]), cfg=cfg, truth=truth)
     elif parts[0] == "low_rank":
@@ -257,14 +272,13 @@ def cmd_recover(args):
 
 def cmd_sweep(args):
     r_or_k = args.k if args.k is not None else args.r
+    if args.setting != "phase":
+        _required(r_or_k, "--k" if args.setting == "sparse" else "--r")
     overrides = {name: value for name, value in (
         ("max_iters", args.max_iters), ("restarts", args.solver_restarts))
         if value is not None}
-    cfg = None
-    if overrides:
-        # each override replaces one field of the solver's own default
-        base = PHASE_CONFIG if args.setting == "phase" else RecoverConfig()
-        cfg = dataclasses.replace(base, seed=args.seed, **overrides)
+    cfg = (_solver_config(args.setting, args.seed, **overrides)
+           if overrides else None)
     rows = phase_transition_sweep(args.setting, args.d, r_or_k,
                                   _parse_range(args.m_range), args.trials,
                                   seed=args.seed, field=args.field, cfg=cfg)
@@ -390,16 +404,15 @@ def _build_parser():
                     "signals on algebraic varieties.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, default_format="json"):
-        sp.add_argument("--seed", type=int, default=0)
+    def common(sp, seed=True):
         sp.add_argument("--out", help="also write stdout payload to this file")
-        sp.add_argument("--format", choices=("json", "csv"),
-                        default=default_format)
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("dims", help="variety dimension")
     sp.add_argument("kind")
     sp.add_argument("values", nargs="+")
-    common(sp)
+    common(sp, seed=False)
     sp.set_defaults(fn=cmd_dims)
 
     sp = sub.add_parser("bounds", help="minimal measurement numbers")
@@ -414,7 +427,9 @@ def _build_parser():
     sp.add_argument("--dim-w", type=int, dest="dim_w")
     sp.add_argument("--m", type=int)
     sp.add_argument("--sweep", help="d range LO:HI")
-    common(sp, default_format=None)
+    sp.add_argument("--format", choices=("json", "csv"), default="csv",
+                    help="output of --sweep")
+    common(sp, seed=False)
     sp.set_defaults(fn=cmd_bounds)
 
     sp = sub.add_parser("generate", help="write an ensemble JSON")
@@ -463,7 +478,8 @@ def _build_parser():
                     help="override the solver iteration cap")
     sp.add_argument("--solver-restarts", type=int, dest="solver_restarts",
                     help="override the solver restart budget")
-    common(sp, default_format="csv")
+    sp.add_argument("--format", choices=("json", "csv"), default="csv")
+    common(sp)
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("verify", help="re-run the built-in reference checks")

@@ -42,6 +42,11 @@ _STREAM_RESTART = 20
 _STREAM_MINOR = 21
 _STREAM_PROBE = 22
 
+_KERNEL_CUTOFF = 1e-10
+# extra iterations granted once a restart reaches feasibility, so the
+# returned witness is polished to the fixed point of both projections
+_POLISH_ITERS = 3000
+
 
 @dataclasses.dataclass(frozen=True)
 class SearchConfig:
@@ -51,16 +56,12 @@ class SearchConfig:
     max_iters: int = 500
     tol_feas: float = 1e-8
     margin_threshold: float = 1e-6
-    kernel_cutoff: float = 1e-10
     seed: int = 0
-    # extra iterations granted once a restart reaches feasibility, so the
-    # returned witness is polished to the fixed point of both projections
-    polish_iters: int = 3000
 
     def tolerances(self):
         return {"tol_feas": self.tol_feas,
                 "margin_threshold": self.margin_threshold,
-                "kernel_cutoff": self.kernel_cutoff}
+                "kernel_cutoff": _KERNEL_CUTOFF}
 
 
 @dataclasses.dataclass
@@ -227,12 +228,12 @@ def _stacked_rows(e, mode):
     return np.array(rows, dtype=float)
 
 
-def _kernel_basis(rows, cutoff):
+def _kernel_basis(rows):
     """Orthonormal nullspace basis with singular-value cutoff relative to
     the largest singular value; also returns that largest value."""
     _, s, vt = np.linalg.svd(rows, full_matrices=True)
     smax = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > cutoff * smax)) if smax > 0 else 0
+    rank = int(np.sum(s > _KERNEL_CUTOFF * smax)) if smax > 0 else 0
     return vt[rank:].T.copy(), smax
 
 
@@ -261,7 +262,7 @@ def witness_search(e, w, cfg=None):
             if dev > 1e-10 * max(1.0, float(np.linalg.norm(op))):
                 raise ValueError("herm_sig search needs Hermitian operators")
     rows = _stacked_rows(e, mode)
-    basis, scale = _kernel_basis(rows, cfg.kernel_cutoff)
+    basis, scale = _kernel_basis(rows)
     kdim = basis.shape[1]
     if kdim == 0:
         return SearchResult(kernel_dim=0, scale=scale)
@@ -301,7 +302,7 @@ def witness_search(e, w, cfg=None):
                 margin = res
             if not polishing and best_res <= feas:
                 polishing = True
-                budget = min(hard_cap, iters + cfg.polish_iters)
+                budget = min(hard_cap, iters + _POLISH_ITERS)
             # extend the budget while the run is still contracting: slow
             # linear convergence to a genuine intersection can need far
             # more than max_iters, while stalled runs exit via the
@@ -453,6 +454,10 @@ def certify(e, signal, cfg=None):
     cfg = cfg or SearchConfig()
     if signal.kind not in SIGNAL_KINDS:
         raise ValueError(f"{signal.kind} is not a signal variety")
+    # the quadratic kinds read a vector ensemble through its rank-one lift
+    quadratic = signal.kind in (KIND_HERM_SIG, KIND_RANK_ONE_REAL)
+    if signal.d != e.d or (not quadratic and signal.ambient[0] != e.shape):
+        raise ValueError("variety ambient does not match ensemble shape")
     w = difference_closure(signal)
     tols = cfg.tolerances()
 
@@ -472,14 +477,11 @@ def certify(e, signal, cfg=None):
         # non-Hermitian ones and reads each through its Hermitian part
         if e.shape == "vector":
             e_search = lift_ensemble(e)
-    else:
-        if w.ambient[0] != e.shape or w.d != e.d:
-            raise ValueError("variety ambient does not match ensemble shape")
 
     if w.is_full_space():
         mode = _variety_mode(w)
         rows = _stacked_rows(e_search, mode)
-        basis, _ = _kernel_basis(rows, cfg.kernel_cutoff)
+        basis, _ = _kernel_basis(rows)
         if basis.shape[1] == 0:
             return InjectivityVerdict(status=CERTIFIED_EXACT, tolerances=tols)
         q = _from_coords(basis[:, 0], w.ambient_shape(), mode)
@@ -619,8 +621,7 @@ def _sphere_descent(fg, t, max_iters):
     return t, f
 
 
-def verify_kernel_minor_system(e, restarts=500, max_iters=250, seed=0, r=2,
-                               kernel_cutoff=1e-10):
+def verify_kernel_minor_system(e, restarts=500, max_iters=250, seed=0, r=2):
     """Minimize the rank-``r`` minor residual over the unit sphere of
     ker(sampling map) by seeded multistart descent.
 
@@ -632,7 +633,7 @@ def verify_kernel_minor_system(e, restarts=500, max_iters=250, seed=0, r=2,
     if e.shape != "matrix" or e.field != "real":
         raise ValueError("expected a real matrix ensemble")
     rows = _stacked_rows(e, "real")
-    basis, _ = _kernel_basis(rows, kernel_cutoff)
+    basis, _ = _kernel_basis(rows)
     kdim = basis.shape[1]
     if kdim == 0:
         return MinorSystemResult(min_residual=math.inf, argmin=None, restarts=0)

@@ -19,8 +19,11 @@ from .sampling import (SampleVector, apply, derived_rng, gen_gaussian_matrices,
 from .varieties import VarietySpec, equivalence_distance, hermitize, project
 
 _STREAM_IHT = 30
-_STREAM_POWER = 31
 _STREAM_SWEEP = 40
+
+_STAGNATION_WINDOW = 20
+_STAGNATION_RTOL = 1e-12
+_STALL_WINDOW = 80
 
 
 @dataclasses.dataclass(frozen=True)
@@ -28,16 +31,12 @@ class RecoverConfig:
     tol_fit: float = 1e-8
     max_iters: int = 2000
     restarts: int = 10
-    power_iters: int = 50
-    stagnation_window: int = 20
-    stagnation_rtol: float = 1e-12
     seed: int = 0
     # optional slow-progress cutoff: end a restart early when the residual
-    # has not shrunk below stall_ratio times its value stall_window
+    # has not shrunk below stall_ratio times its value _STALL_WINDOW
     # iterations ago (the quadratic pipeline enables this; every restart is
     # finished by a local polish, so cutting a crawling run costs little)
     stall_ratio: float = None
-    stall_window: int = 80
 
 
 # recover_phase's default: many short restarts, each ending in a local polish
@@ -128,39 +127,22 @@ def recover_sparse(e, y, k, cfg=None, truth=None):
 # ---------------------------------------------------------------------------
 
 
-def _step_size(stack, n_coords, cfg):
-    """1 / ||M||_op^2 via power iteration on the normal operator."""
-    rng = derived_rng(cfg.seed, _STREAM_POWER)
-    v = rng.standard_normal(n_coords) + 1j * rng.standard_normal(n_coords)
-    v = v / np.linalg.norm(v)
-    lam = 1.0
-    for _ in range(cfg.power_iters):
-        w = stack.conj().T @ (stack @ v)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 1.0, 0.0
-        lam = nw
-        v = w / nw
-    return 1.0 / lam, lam
-
-
 def _iht(e, yv, project_fn, cfg, hermitian=False, polish_fn=None,
          real_field=False):
     """Hard thresholding with exact line-search steps and restarts.
 
     Each restart runs up to ``max_iters`` gradient/projection rounds with
     the step length minimizing the data misfit along the gradient
-    direction (the safeguarded fallback is 1 / ||M||_op^2 from power
-    iteration); relative progress below ``stagnation_rtol`` over the
-    stagnation window ends the run early.  ``polish_fn``, when given,
-    refines each run's best iterate before the convergence test.
+    direction; relative progress below ``_STAGNATION_RTOL`` over
+    ``_STAGNATION_WINDOW`` iterations ends the run early.  ``polish_fn``,
+    when given, refines each run's best iterate before the convergence
+    test.
     """
     d = e.d
     stack = e.stack()
     yc = yv.astype(np.complex128)
     ynorm = float(np.linalg.norm(yc))
     tol_abs = cfg.tol_fit * ynorm
-    mu, _ = _step_size(stack, d * d, cfg)
 
     def samples(x):
         return stack @ x.conj().ravel()
@@ -194,23 +176,23 @@ def _iht(e, yv, project_fn, cfg, hermitian=False, polish_fn=None,
             g = adjoint(yc - samples(x))
             if hermitian:
                 g = hermitize(g)
+            # ||g||^2 = Re<r, M g>, so M g = 0 only when g = 0, and then
+            # every step length leaves x where it is
             mg2 = float(np.linalg.norm(samples(g)) ** 2)
-            eta = float(np.linalg.norm(g) ** 2) / mg2 if mg2 > 0 else mu
-            if not np.isfinite(eta) or eta <= 0:
-                eta = mu
+            eta = float(np.linalg.norm(g) ** 2) / mg2 if mg2 > 0 else 0.0
             x = project_fn(x + eta * g)
             total_iters += 1
             res = residual(x)
             if res < run_best[0]:
                 run_best = (res, x)
             history.append(res)
-            if len(history) > cfg.stagnation_window:
-                old = history[-cfg.stagnation_window - 1]
-                if old - res < cfg.stagnation_rtol * max(old, 1e-300):
+            if len(history) > _STAGNATION_WINDOW:
+                old = history[-_STAGNATION_WINDOW - 1]
+                if old - res < _STAGNATION_RTOL * max(old, 1e-300):
                     break  # stalled; take a fresh start
             if (cfg.stall_ratio is not None
-                    and len(history) > cfg.stall_window
-                    and res > cfg.stall_ratio * history[-cfg.stall_window - 1]
+                    and len(history) > _STALL_WINDOW
+                    and res > cfg.stall_ratio * history[-_STALL_WINDOW - 1]
                     and res > 100.0 * tol_abs):
                 break  # crawling; the post-run polish takes it from here
         if polish_fn is not None:

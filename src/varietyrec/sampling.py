@@ -19,6 +19,7 @@ import hashlib
 import numpy as np
 
 from . import jsonio
+from .varieties import hermitize
 
 _FIELDS = ("real", "complex")
 _SHAPES = ("vector", "matrix")
@@ -157,7 +158,7 @@ def lift_rank_one(a):
     a = np.asarray(a)
     h = np.outer(a, a.conj())
     if np.iscomplexobj(h):
-        h = 0.5 * (h + h.conj().T)
+        h = hermitize(h)
     return h
 
 
@@ -262,8 +263,7 @@ def gen_hermitian_rank(d, ranks, seed=0):
             lam = rng.standard_normal()
             u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             a = a + lam * np.outer(u, u.conj())
-        a = 0.5 * (a + a.conj().T)
-        ops.append(a)
+        ops.append(hermitize(a))
     return MeasurementEnsemble(field="complex", shape="matrix", d=d,
                                operators=ops, ranks=list(map(int, ranks)),
                                seed=seed, hermitian=True)

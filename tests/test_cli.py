@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from varietyrec import apply, load_ensemble, recovery, save_samples
+from varietyrec import apply, cli, load_ensemble, recovery, save_samples
 from varietyrec.cli import main
 
 
@@ -132,6 +132,14 @@ def test_malformed_input_exit_code(capsys, tmp_path):
     code = main(["recover", "--ensemble", str(epath), "--samples", str(ypath),
                  "--variety", "sparse:1"])
     assert code == 2 and "error:" in capsys.readouterr().err
+    for argv in (["dims", "low_rank", "4"],
+                 ["bounds", "sparse", "8"],
+                 ["bounds", "--setting", "low_rank", "--d", "4"],
+                 ["bounds", "--setting", "generic"],
+                 ["sweep", "--setting", "sparse", "--d", "4", "--m-range",
+                  "2:3"]):
+        code = main(argv)
+        assert code == 2 and "missing parameter" in capsys.readouterr().err
 
 
 def test_certify_empty_search_is_strict_json(capsys):
@@ -165,3 +173,34 @@ def test_sweep_override_keeps_solver_defaults(capsys, monkeypatch):
                                                                     0.5)
     assert (second.max_iters, second.restarts,
             second.stall_ratio) == (2000, 7, 0.5)
+
+
+def test_recover_phase_keeps_solver_defaults(capsys, monkeypatch, tmp_path):
+    seen = []
+
+    def fake_recover_phase(e, y, cfg=None, truth=None):
+        seen.append(cfg)
+        return recovery.RecoveryOutcome(estimate=np.zeros(e.d), residual=0.0,
+                                        converged=True)
+
+    monkeypatch.setattr(cli, "recover_phase", fake_recover_phase)
+    epath, ypath = tmp_path / "e.json", tmp_path / "y.json"
+    main(["generate", "--d", "3", "--m", "8", "--out", str(epath)])
+    e = load_ensemble(epath)
+    save_samples(ypath, apply(e, np.ones(3)))
+    code, _ = _run(capsys, "recover", "--ensemble", str(epath), "--samples",
+                   str(ypath), "--variety", "phase", "--seed", "4")
+    assert code == 0
+    (cfg,) = seen
+    assert (cfg.restarts, cfg.stall_ratio, cfg.seed) == (30, 0.5, 4)
+
+
+def test_flags_only_where_read(capsys):
+    for argv in (["certify", "--d", "4", "--m", "11", "--r", "1",
+                  "--format", "csv"],
+                 ["dims", "low_rank", "4", "1", "--seed", "3"],
+                 ["bounds", "real_pr", "6", "--seed", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()

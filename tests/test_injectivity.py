@@ -12,8 +12,8 @@ from varietyrec import (CERTIFIED_EXACT, INCONCLUSIVE, NO_WITNESS_FOUND,
                         collision_residual, complement_property, corner_skew,
                         dense_sampler, difference_closure,
                         gen_gaussian_matrices, gen_gaussian_vectors,
-                        gen_hermitian_rank, lift_rank_one, membership,
-                        minor_residual, symmetric_sampler,
+                        gen_hermitian_rank, lift_ensemble, lift_rank_one,
+                        membership, minor_residual, symmetric_sampler,
                         verify_kernel_minor_system, witness_search,
                         witness_to_collision)
 from varietyrec.injectivity import _minor_residual_and_grad
@@ -221,6 +221,20 @@ def test_certify_rejects_non_signal_variety():
     e = gen_gaussian_matrices(3, 2, "complex", seed=0)
     with pytest.raises(ValueError):
         certify(e, VarietySpec.sym_low_rank(3, 1))
+
+
+def test_certify_rejects_mismatched_size():
+    vectors = gen_gaussian_vectors(4, 7, "real", seed=0)
+    cases = [(vectors, VarietySpec.rank_one_real(3)),
+             (lift_ensemble(vectors), VarietySpec.rank_one_real(3)),
+             (gen_gaussian_vectors(4, 7, "complex", seed=0),
+              VarietySpec.herm_sig(3)),
+             (gen_gaussian_matrices(4, 7, "real", seed=0),
+              VarietySpec.low_rank(3, 1, "real")),
+             (vectors, VarietySpec.low_rank(4, 1, "real"))]
+    for e, signal in cases:
+        with pytest.raises(ValueError, match="does not match"):
+            certify(e, signal)
 
 
 def test_certify_herm_sig_rejects_non_hermitian_operators():
