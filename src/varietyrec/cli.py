@@ -277,11 +277,11 @@ def cmd_sweep(args):
     overrides = {name: value for name, value in (
         ("max_iters", args.max_iters), ("restarts", args.solver_restarts))
         if value is not None}
-    cfg = (_solver_config(args.setting, args.seed, **overrides)
-           if overrides else None)
     rows = phase_transition_sweep(args.setting, args.d, r_or_k,
                                   _parse_range(args.m_range), args.trials,
-                                  seed=args.seed, field=args.field, cfg=cfg)
+                                  seed=args.seed, field=args.field,
+                                  cfg=_solver_config(args.setting, args.seed,
+                                                     **overrides))
     if args.format == "json":
         _emit(args, rows)
     else:

@@ -1,5 +1,6 @@
 """Recovery solvers: support enumeration, iterative hard thresholding,
-and the lifted phase pipeline, plus the phase-transition sweep.
+and multistart Gauss-Newton on the signal for quadratic samples, plus
+the phase-transition sweep.
 
 All solvers report a residual against the given samples and set
 ``converged`` only when that residual is below ``tol_fit`` relative to
@@ -15,15 +16,17 @@ import math
 import numpy as np
 
 from .sampling import (SampleVector, apply, derived_rng, gen_gaussian_matrices,
-                       gen_gaussian_vectors, lift_ensemble)
-from .varieties import VarietySpec, equivalence_distance, hermitize, project
+                       gen_gaussian_vectors, lift_rank_one)
+from .varieties import VarietySpec, equivalence_distance, project
 
 _STREAM_IHT = 30
+_STREAM_PHASE = 31
 _STREAM_SWEEP = 40
 
 _STAGNATION_WINDOW = 20
 _STAGNATION_RTOL = 1e-12
-_STALL_WINDOW = 80
+# a Gauss-Newton step is halved at most this often before the run ends
+_HALVINGS = 30
 
 
 @dataclasses.dataclass(frozen=True)
@@ -32,15 +35,11 @@ class RecoverConfig:
     max_iters: int = 2000
     restarts: int = 10
     seed: int = 0
-    # optional slow-progress cutoff: end a restart early when the residual
-    # has not shrunk below stall_ratio times its value _STALL_WINDOW
-    # iterations ago (the quadratic pipeline enables this; every restart is
-    # finished by a local polish, so cutting a crawling run costs little)
-    stall_ratio: float = None
 
 
-# recover_phase's default: many short restarts, each ending in a local polish
-PHASE_CONFIG = RecoverConfig(restarts=30, stall_ratio=0.5)
+# recover_phase's default: near the minimal sample count a random start
+# falls outside the truth's basin more often, so it gets more restarts
+PHASE_CONFIG = RecoverConfig(restarts=30)
 
 
 @dataclasses.dataclass
@@ -53,8 +52,10 @@ class RecoveryOutcome:
     ambiguous: bool = False
 
 
-def _as_samples(y):
+def _as_samples(e, y):
     yv = y.y if isinstance(y, SampleVector) else np.asarray(y, np.complex128)
+    if yv.ndim != 1 or yv.size != e.m:
+        raise ValueError(f"expected {e.m} samples, got {yv.size}")
     if not np.all(np.isfinite(yv)):
         raise ValueError("non-finite samples")
     return yv
@@ -80,7 +81,7 @@ def recover_sparse(e, y, k, cfg=None, truth=None):
         raise ValueError("k out of range")
     if math.comb(d, k) > 10 ** 6:
         raise ValueError("support enumeration budget exceeded")
-    yv = _as_samples(y)
+    yv = _as_samples(e, y)
     ynorm = float(np.linalg.norm(yv))
     dtype = np.float64 if e.field == "real" else np.complex128
     if ynorm == 0.0:
@@ -127,16 +128,13 @@ def recover_sparse(e, y, k, cfg=None, truth=None):
 # ---------------------------------------------------------------------------
 
 
-def _iht(e, yv, project_fn, cfg, hermitian=False, polish_fn=None,
-         real_field=False):
+def _iht(e, yv, project_fn, cfg):
     """Hard thresholding with exact line-search steps and restarts.
 
     Each restart runs up to ``max_iters`` gradient/projection rounds with
     the step length minimizing the data misfit along the gradient
     direction; relative progress below ``_STAGNATION_RTOL`` over
-    ``_STAGNATION_WINDOW`` iterations ends the run early.  ``polish_fn``,
-    when given, refines each run's best iterate before the convergence
-    test.
+    ``_STAGNATION_WINDOW`` iterations ends the run early.
     """
     d = e.d
     stack = e.stack()
@@ -163,10 +161,8 @@ def _iht(e, yv, project_fn, cfg, hermitian=False, polish_fn=None,
         else:
             rng = derived_rng(cfg.seed, _STREAM_IHT, ridx)
             g = rng.standard_normal((d, d)).astype(complex)
-            if not real_field:
+            if e.field != "real":
                 g = g + 1j * rng.standard_normal((d, d))
-            if hermitian:
-                g = hermitize(g)
             x = project_fn(g / np.linalg.norm(g) * scale0)
         run_best = (residual(x), x)
         history = [run_best[0]]
@@ -174,8 +170,6 @@ def _iht(e, yv, project_fn, cfg, hermitian=False, polish_fn=None,
             if run_best[0] <= tol_abs:
                 break
             g = adjoint(yc - samples(x))
-            if hermitian:
-                g = hermitize(g)
             # ||g||^2 = Re<r, M g>, so M g = 0 only when g = 0, and then
             # every step length leaves x where it is
             mg2 = float(np.linalg.norm(samples(g)) ** 2)
@@ -190,16 +184,6 @@ def _iht(e, yv, project_fn, cfg, hermitian=False, polish_fn=None,
                 old = history[-_STAGNATION_WINDOW - 1]
                 if old - res < _STAGNATION_RTOL * max(old, 1e-300):
                     break  # stalled; take a fresh start
-            if (cfg.stall_ratio is not None
-                    and len(history) > _STALL_WINDOW
-                    and res > cfg.stall_ratio * history[-_STALL_WINDOW - 1]
-                    and res > 100.0 * tol_abs):
-                break  # crawling; the post-run polish takes it from here
-        if polish_fn is not None:
-            xp = polish_fn(run_best[1])
-            resp = residual(xp)
-            if resp < run_best[0]:
-                run_best = (resp, xp)
         if best is None or run_best[0] < best[0]:
             best = run_best
         if best[0] <= tol_abs:
@@ -213,7 +197,7 @@ def recover_low_rank(e, y, r, cfg=None, truth=None):
     if e.shape != "matrix":
         raise ValueError("recover_low_rank expects a matrix ensemble")
     w = VarietySpec.low_rank(e.d, int(r), field=e.field)
-    yv = _as_samples(y)
+    yv = _as_samples(e, y)
     if float(np.linalg.norm(yv)) == 0.0:
         est = np.zeros((e.d, e.d), dtype=np.complex128)
         if e.field == "real":
@@ -222,8 +206,7 @@ def recover_low_rank(e, y, r, cfg=None, truth=None):
         return RecoveryOutcome(estimate=est, residual=0.0,
                                equivalence_distance=eq, iterations=0,
                                converged=True)
-    est, res, iters, ok = _iht(e, yv, lambda x: project(x, w), cfg,
-                               real_field=e.field == "real")
+    est, res, iters, ok = _iht(e, yv, lambda x: project(x, w), cfg)
     if e.field == "real" and np.max(np.abs(est.imag)) < 1e-12:
         est = est.real
     eq = None if truth is None else float(np.linalg.norm(est - np.asarray(truth)))
@@ -231,122 +214,119 @@ def recover_low_rank(e, y, r, cfg=None, truth=None):
                            iterations=iters, converged=ok)
 
 
-def _psd_rank_one(x):
-    """Projection onto Hermitian PSD rank <= 1 (top positive eigenpair)."""
-    h = hermitize(x)
-    vals, vecs = np.linalg.eigh(h)
-    lam = float(vals[-1])
-    if lam <= 0.0:
-        return np.zeros_like(h)
-    u = vecs[:, -1]
-    return lam * np.outer(u, u.conj())
+def _quadratic_forms(e, yv):
+    """Operators as an (m, d, d) stack, Hermitian forms ``Q_j`` and real
+    targets ``t_j`` with ``x* Q_j x = t_j``.
 
-
-def _top_vector(x):
-    """sqrt(lambda_1) u_1 from the top eigenpair of the hermitized input."""
-    vals, vecs = np.linalg.eigh(hermitize(x))
-    lam = float(vals[-1])
-    if lam <= 0.0:
-        return np.zeros(x.shape[0], dtype=complex)
-    return math.sqrt(lam) * vecs[:, -1]
-
-
-def _gauss_newton_phase(ops, y, x, iters=25, real=False):
-    """Refine x against quadratic samples x* A_j x by Gauss-Newton.
-
-    Only improving steps are kept, so the output never fits worse than
-    the input; in the attraction basin convergence is quadratic, which
-    finishes off the slowly contracting tail of the lifted iteration.
-    Real problems keep the iterate real (the complex problem can be
-    non-injective at sample counts where the real one is fine).
+    A vector row enters as its lift ``a_j a_j*``.  An operator splits as
+    ``x* A_j x = x* H_j x + i x* K_j x`` with Hermitian ``H_j = (A_j +
+    A_j*)/2`` and ``K_j = (A_j - A_j*)/(2i)``, fitted to ``Re y_j`` and
+    ``Im y_j``; the skew forms are kept only where some ``K_j`` is nonzero
+    and the signal is complex (a real x has ``x^T K_j x = 0``).
     """
-    y = np.real(y)
-    if real:
-        x = np.real(x).astype(float)
+    ops = np.stack([lift_rank_one(a) for a in e.operators]
+                   if e.shape == "vector" else e.operators)
+    adj = ops.conj().transpose(0, 2, 1)
+    forms, target = 0.5 * (ops + adj), yv.real
+    skew = -0.5j * (ops - adj)
+    if e.field == "complex" and np.any(skew):
+        forms = np.concatenate([forms, skew])
+        target = np.concatenate([target, yv.imag])
+    return ops, forms, target
 
-    def resid(v):
-        return np.array([np.real(np.vdot(v, a @ v)) for a in ops]) - y
 
-    r = resid(x)
-    best = (float(np.linalg.norm(r)), x)
-    for _ in range(iters):
-        ax = [a @ x for a in ops]
-        if real:
-            jac = 2.0 * np.stack([np.real(v) for v in ax])
+def _misfit(forms, target, x):
+    """Residuals ``x* Q_j x - t_j`` and the products ``Q_j x``."""
+    qx = forms @ x
+    return np.real(qx @ x.conj()) - target, qx
+
+
+def _gauss_newton_phase(forms, target, x, cfg, tol_abs):
+    """One Gauss-Newton run on ``x* Q_j x = t_j`` from ``c x``, where
+    ``c >= 0`` fits ``c^2 x* Q_j x`` to ``t`` in least squares.
+
+    Complex signals are solved for in real coordinates ``(Re x, Im x)``.
+    Each step is halved until the misfit drops; the run ends at
+    ``tol_abs``, when no halving helps, when the relative decrease falls
+    below ``_STAGNATION_RTOL``, or after ``max_iters`` steps.  Returns the
+    final misfit, the iterate and the number of steps.
+    """
+    d = x.shape[0]
+    real = not np.iscomplexobj(x)
+    q = _misfit(forms, 0.0, x)[0]
+    qq = float(q @ q)
+    x = math.sqrt(max(float(q @ target) / qq if qq > 0 else 0.0, 0.0)) * x
+    r, qx = _misfit(forms, target, x)
+    res = float(np.linalg.norm(r))
+    steps = 0
+    while steps < cfg.max_iters and res > tol_abs:
+        jac = 2.0 * (qx if real else np.concatenate([qx.real, qx.imag], 1))
+        dz = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        dx = dz if real else dz[:d] + 1j * dz[d:]
+        steps += 1
+        eta = 1.0
+        for _ in range(_HALVINGS):
+            r_new, qx_new = _misfit(forms, target, x + eta * dx)
+            res_new = float(np.linalg.norm(r_new))
+            if res_new < res:
+                break
+            eta *= 0.5
         else:
-            jac = np.concatenate([2.0 * np.stack([v.real for v in ax]),
-                                  2.0 * np.stack([v.imag for v in ax])],
-                                 axis=1)
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        d = x.shape[0]
-        x_new = x + (step if real else step[:d] + 1j * step[d:])
-        r_new = resid(x_new)
-        nrm = float(np.linalg.norm(r_new))
-        if not np.isfinite(nrm) or nrm >= best[0]:
+            break  # no step length lowers the misfit
+        stalled = res - res_new < _STAGNATION_RTOL * res
+        x, r, qx, res = x + eta * dx, r_new, qx_new, res_new
+        if stalled:
             break
-        best = (nrm, x_new)
-        x, r = x_new, r_new
-    return best[1]
+    return res, x, steps
 
 
 def recover_phase(e, y, cfg=None, truth=None):
-    """Quadratic-sample recovery through the rank-one Hermitian lift.
+    """Quadratic-sample recovery by multistart Gauss-Newton on the signal.
 
-    Runs hard thresholding on the lifted linear problem, hermitizing
-    every iterate, then extracts the top eigenpair.  The answer is
-    defined up to a unimodular constant; the extracted vector is
-    normalized so its largest-magnitude entry is real positive.
-    Residual and convergence are judged on the extracted rank-one lift.
+    Takes a vector ensemble with samples ``|<a_j, x>|^2`` or a matrix
+    ensemble with samples ``x* A_j x``; a vector ensemble and its lift
+    give the same estimate.  Restart 0 starts from the top eigenvector of
+    ``sum_j t_j Q_j`` (see ``_quadratic_forms``), every later restart from
+    a Gaussian drawn from ``cfg.seed``; the search stops at the first
+    restart that fits.  ``iterations`` is the number of Gauss-Newton
+    steps summed over the restarts run.
 
-    The default configuration uses a larger restart budget than the
-    linear solvers with a slow-progress cutoff: near the minimal sample
-    count the lifted landscape has small basins, and many short runs,
-    each ending in a local polish, beat a few long ones.
+    The answer is defined up to a sign (real) or a unimodular constant
+    (complex); the estimate is normalized so its largest-magnitude entry
+    is real positive.  Residual and convergence are judged on the
+    estimate's rank-one lift against the given samples.
     """
     cfg = cfg or PHASE_CONFIG
-    e_mat = lift_ensemble(e) if e.shape == "vector" else e
-    field = e.field
-    yv = _as_samples(y)
-    d = e_mat.d
-    dtype = np.float64 if field == "real" else np.complex128
-    ynorm = float(np.linalg.norm(yv))
-    if ynorm == 0.0:
-        eq = None
-        if truth is not None:
-            eq = equivalence_distance(np.zeros(d, dtype=dtype), truth, field)
-        return RecoveryOutcome(estimate=np.zeros(d, dtype=dtype), residual=0.0,
-                               equivalence_distance=eq, iterations=0,
-                               converged=True)
-    real_field = field == "real"
-
-    def polish(x_mat):
-        v = _top_vector(x_mat)
-        if np.linalg.norm(v) == 0.0:
-            return x_mat
-        v = _gauss_newton_phase(e_mat.operators, yv, v.astype(complex),
-                                real=real_field)
-        return np.outer(v, np.conj(v)).astype(complex)
-
-    est_mat, _, iters, _ = _iht(e_mat, yv, _psd_rank_one, cfg, hermitian=True,
-                                polish_fn=polish, real_field=real_field)
-    xhat = _top_vector(est_mat)
-    if np.linalg.norm(xhat) == 0.0:
-        xhat = np.zeros(d, dtype=dtype)
-    else:
+    yv = _as_samples(e, y)
+    ops, forms, target = _quadratic_forms(e, yv)
+    tol_abs = cfg.tol_fit * float(np.linalg.norm(yv))
+    best = None
+    iters = 0
+    for ridx in range(cfg.restarts):
+        if ridx == 0:
+            x = np.linalg.eigh(np.tensordot(target, forms, 1))[1][:, -1]
+        else:
+            rng = derived_rng(cfg.seed, _STREAM_PHASE, ridx)
+            x = rng.standard_normal(e.d)
+            if e.field == "complex":
+                x = x + 1j * rng.standard_normal(e.d)
+        run = _gauss_newton_phase(forms, target, x, cfg, tol_abs)
+        iters += run[2]
+        if best is None or run[0] < best[0]:
+            best = run
+        if best[0] <= tol_abs:
+            break
+    xhat = best[1]
+    if np.any(xhat):
         i = int(np.argmax(np.abs(xhat)))
-        phase = xhat[i] / abs(xhat[i])
-        xhat = xhat / phase
-        if field == "real":
-            xhat = xhat.real
+        xhat = xhat / (xhat[i] / abs(xhat[i]))
     lifted = np.outer(xhat, np.conj(xhat))
-    res = float(np.linalg.norm(e_mat.stack() @ lifted.conj().ravel() - yv))
-    converged = res <= cfg.tol_fit * ynorm
-    eq = None
-    if truth is not None:
-        eq = equivalence_distance(xhat, truth, field)
+    res = float(np.linalg.norm(ops.reshape(e.m, -1) @ lifted.conj().ravel()
+                               - yv))
+    eq = None if truth is None else equivalence_distance(xhat, truth, e.field)
     return RecoveryOutcome(estimate=xhat, residual=res,
                            equivalence_distance=eq, iterations=iters,
-                           converged=converged)
+                           converged=res <= tol_abs)
 
 
 # ---------------------------------------------------------------------------

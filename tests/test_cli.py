@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from varietyrec import apply, cli, load_ensemble, recovery, save_samples
+from varietyrec import (SampleVector, apply, cli, load_ensemble, recovery,
+                        save_samples)
 from varietyrec.cli import main
 
 
@@ -169,10 +170,8 @@ def test_sweep_override_keeps_solver_defaults(capsys, monkeypatch):
     _run(capsys, "sweep", "--setting", "phase", "--d", "3", "--m-range",
          "5:5", "--trials", "1", "--solver-restarts", "7")
     first, second = seen
-    assert (first.max_iters, first.restarts, first.stall_ratio) == (2000, 30,
-                                                                    0.5)
-    assert (second.max_iters, second.restarts,
-            second.stall_ratio) == (2000, 7, 0.5)
+    assert (first.max_iters, first.restarts) == (2000, 30)
+    assert (second.max_iters, second.restarts) == (2000, 7)
 
 
 def test_recover_phase_keeps_solver_defaults(capsys, monkeypatch, tmp_path):
@@ -192,7 +191,7 @@ def test_recover_phase_keeps_solver_defaults(capsys, monkeypatch, tmp_path):
                    str(ypath), "--variety", "phase", "--seed", "4")
     assert code == 0
     (cfg,) = seen
-    assert (cfg.restarts, cfg.stall_ratio, cfg.seed) == (30, 0.5, 4)
+    assert (cfg.restarts, cfg.seed) == (30, 4)
 
 
 def test_flags_only_where_read(capsys):
@@ -204,3 +203,27 @@ def test_flags_only_where_read(capsys):
             main(argv)
         assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_sweep_seed_reaches_solver(capsys):
+    argv = ["sweep", "--setting", "phase", "--d", "3", "--m-range", "5:5",
+            "--trials", "30", "--field", "complex", "--seed", "3"]
+    _, default = _run(capsys, *argv)
+    _, spelled_out = _run(capsys, *argv, "--max-iters", "2000",
+                          "--solver-restarts", "30")
+    assert default == spelled_out
+
+
+@pytest.mark.parametrize("kind,variety", [("gaussian", "sparse:1"),
+                                          ("gaussian", "phase"),
+                                          ("gaussian_matrices", "low_rank:1")])
+def test_recover_rejects_wrong_sample_count(capsys, tmp_path, kind, variety):
+    epath, ypath = tmp_path / "e.json", tmp_path / "y.json"
+    main(["generate", "--kind", kind, "--d", "3", "--m", "8",
+          "--out", str(epath)])
+    save_samples(ypath, SampleVector(np.ones(7)))
+    capsys.readouterr()
+    code = main(["recover", "--ensemble", str(epath), "--samples", str(ypath),
+                 "--variety", variety])
+    assert code == 2
+    assert "expected 8 samples, got 7" in capsys.readouterr().err

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from varietyrec import (MeasurementEnsemble, RecoverConfig, apply,
+from varietyrec import (MeasurementEnsemble, RecoverConfig, apply, derived_rng,
                         equivalence_distance, gen_gaussian_matrices,
-                        gen_gaussian_vectors, lift_rank_one,
+                        gen_gaussian_vectors, lift_ensemble, lift_rank_one,
                         phase_transition_sweep, recover_low_rank,
                         recover_phase, recover_sparse)
 
@@ -219,6 +220,72 @@ def test_recover_phase_zero_samples():
     e = gen_gaussian_vectors(3, 5, "real", seed=0)
     out = recover_phase(e, np.zeros(5))
     assert out.converged and np.linalg.norm(out.estimate) == 0.0
+
+
+def _gauss(rng, d, field):
+    x = rng.standard_normal(d)
+    return x + 1j * rng.standard_normal(d) if field == "complex" else x
+
+
+# sweep trials (sweep seed, d, m, field, trial) that the earlier solver, hard
+# thresholding on the lift, failed to recover, all at or above the
+# injectivity count
+@pytest.mark.parametrize("seed,d,m,field,trial", [
+    (0, 3, 8, "complex", 13), (0, 4, 16, "real", 65),
+    (7, 4, 16, "complex", 537), (7, 4, 16, "complex", 866),
+    (7, 4, 16, "complex", 1085), (7, 4, 16, "complex", 1106),
+    (7, 4, 12, "real", 1234), (7, 4, 12, "real", 2335),
+    (7, 4, 12, "real", 2410)])
+def test_recover_phase_failure_corpus(seed, d, m, field, trial):
+    # built as phase_transition_sweep's trial builds it
+    rng = derived_rng(seed, 40, m, trial)
+    e = gen_gaussian_vectors(d, m, field=field, seed=int(rng.integers(2 ** 31)))
+    x = _gauss(rng, d, field)
+    out = recover_phase(e, np.abs(e.stack().conj() @ x) ** 2, truth=x)
+    assert out.converged
+    assert out.equivalence_distance < 1e-6 * np.linalg.norm(x)
+
+
+@st.composite
+def _phase_problems(draw):
+    d = draw(st.integers(2, 5))
+    field = draw(st.sampled_from(["real", "complex"]))
+    lo, hi = (2 * d + 2, 4 * d) if field == "real" else (4 * d - 4, 6 * d)
+    seed = draw(st.integers(0, 2 ** 31 - 1))
+    e = gen_gaussian_vectors(d, draw(st.integers(lo, hi)), field, seed=seed)
+    x = _gauss(derived_rng(seed, 1), d, field)
+    return e, x, np.abs(e.stack().conj() @ x) ** 2
+
+
+@settings(derandomize=True, deadline=None)
+@given(_phase_problems())
+def test_recover_phase_above_injectivity_count(problem):
+    e, x, y = problem
+    out = recover_phase(e, y, truth=x)
+    assert out.converged
+    assert out.equivalence_distance < 1e-6 * np.linalg.norm(x)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(_phase_problems())
+def test_recover_phase_vector_and_lift_agree(problem):
+    e, _, y = problem
+    a = recover_phase(e, y)
+    b = recover_phase(lift_ensemble(e), y)
+    assert np.array_equal(a.estimate, b.estimate)
+    assert (a.residual, a.iterations, a.converged) == (b.residual,
+                                                      b.iterations,
+                                                      b.converged)
+
+
+def test_recover_phase_general_complex_matrices():
+    # non-Hermitian operators: complex samples x* A_j x carry two real
+    # equations each, fitted by the Hermitian and the skew part of A_j
+    e = gen_gaussian_matrices(3, 6, "complex", seed=5)
+    x = _gauss(np.random.default_rng(5), 3, "complex")
+    out = recover_phase(e, apply(e, lift_rank_one(x)), truth=x)
+    assert out.converged
+    assert out.equivalence_distance < 1e-6 * np.linalg.norm(x)
 
 
 # ---------------------------------------------------------------------------
