@@ -543,119 +543,212 @@ def minor_residual(q, r):
     r = int(r)
     if r < 0:
         raise ValueError("rank bound must be nonnegative")
-    gather, _, _, _ = _minor_indices(q.shape[0], r + 1)
-    dets = np.linalg.det(q.ravel()[gather])
-    return float(np.sum(np.abs(dets) ** 2))
+    q = q.astype(np.result_type(q.dtype, float), copy=False)
+    _, minors = _minors(q.ravel(), q.shape[0], r + 1)
+    return float(np.sum(np.abs(minors) ** 2))
+
+
+def _combination_positions(d, k):
+    """The k-subsets of range(d) in lexicographic order, as a (n, k)
+    array, and for each subset and each of its k places the position of
+    the (k-1)-subset left when that place is dropped."""
+    combos = list(itertools.combinations(range(d), k))
+    position = {c: n for n, c in
+                enumerate(itertools.combinations(range(d), k - 1))}
+    drop = [[position[c[:i] + c[i + 1:]] for i in range(k)] for c in combos]
+    return (np.array(combos, dtype=np.intp).reshape(-1, k),
+            np.array(drop, dtype=np.intp).reshape(-1, k))
 
 
 @functools.lru_cache(maxsize=None)
-def _minor_indices(d, size):
-    """Index arrays for the size x size minors of a d x d matrix.
+def _expansion(d, k):
+    """Index arrays expanding every k x k minor of a d x d matrix along
+    the first row of its submatrix, for k >= 2.
 
-    ``gather`` picks every size x size submatrix out of the flattened
-    matrix, ordered by (row combination, column combination);
-    ``sub_gather`` does the same for the (size-1) x (size-1) submatrices.
-    Deleting row i and column j of submatrix k leaves the submatrix
-    ``cofactor[k, i, j]`` of ``sub_gather``, with sign ``sign[i, j]``.
-    There are no submatrices when size > d, and one 0 x 0 submatrix when
-    size is 0.
+    The k x k minors are ordered by (row subset, column subset), so the
+    1 x 1 minors are the entries in row-major order.  Minor n is
+    ``sum_j qs[entry[n, j]] * prev[sub[n, j]]``, with ``prev`` the
+    (k-1) x (k-1) minors and ``qs`` the flattened matrix followed by its
+    negation: the sign (-1)^j of the expansion is an index offset.
     """
-    def submatrices(k):
-        combos = list(itertools.combinations(range(d), k))
-        n = len(combos)
-        idx = np.array(combos, dtype=np.intp).reshape(n, k)
-        flat = idx[:, None, :, None] * d + idx[None, :, None, :]
-        return combos, flat.reshape(n * n, k, k)
+    combos, drop = _combination_positions(d, k)
+    n, subs = len(combos), math.comb(d, k - 1)
+    odd = np.arange(k) % 2 * d * d
+    entry = combos[:, None, :1] * d + combos[None, :, :] + odd
+    sub = drop[:, None, :1] * subs + drop[None, :, :]
+    return entry.reshape(n * n, k), sub.reshape(n * n, k)
 
-    combos, gather = submatrices(size)
-    subs, sub_gather = submatrices(size - 1)
-    position = {c: n for n, c in enumerate(subs)}
-    drop = np.array([[position[c[:i] + c[i + 1:]] for i in range(size)]
-                     for c in combos], dtype=np.intp).reshape(-1, size)
-    cofactor = drop[:, None, :, None] * len(subs) + drop[None, :, None, :]
-    sign = (-1.0) ** np.add.outer(np.arange(size), np.arange(size))
-    return gather, sub_gather, cofactor.reshape(-1, size, size), sign
+
+@functools.lru_cache(maxsize=None)
+def _cofactors(d, k):
+    """Index arrays of the gradient of the squared k x k minors.
+
+    Entry (a, b) of a d x d matrix lies in the minors with a in the row
+    subset and b in the column subset, C(d-1, k-1)^2 of them.  For entry
+    a*d + b, ``minor[a*d + b, t]`` is such a minor and ``cof[a*d + b, t]``
+    its cofactor at (a, b): a (k-1) x (k-1) minor indexed into those
+    minors followed by their negation, which carries the sign
+    (-1)^(i+j) of row place i and column place j.
+    """
+    combos, drop = _combination_positions(d, k)
+    n, subs = len(combos), math.comb(d, k - 1)
+    # per entry index a: the subsets holding it, its place, what is left
+    holds = [np.nonzero(combos == a) for a in range(d)]
+    subset = np.array([h[0] for h in holds], dtype=np.intp).reshape(d, -1)
+    place = np.array([h[1] for h in holds], dtype=np.intp).reshape(d, -1)
+    left = drop[subset, place]
+    minor = subset[:, None, :, None] * n + subset[None, :, None, :]
+    cof = (left[:, None, :, None] * subs + left[None, :, None, :]
+           + (place[:, None, :, None] + place[None, :, None, :]) % 2
+           * subs * subs)
+    return minor.reshape(d * d, -1), cof.reshape(d * d, -1)
+
+
+def _minors(qf, d, size):
+    """The (size-1) x (size-1) and size x size minors of flattened d x d
+    matrices ``qf`` (shape (..., d*d)), by Laplace expansion from the
+    entries up; the 0 x 0 minor is 1."""
+    prev, cur = np.ones(qf.shape[:-1] + (1,), qf.dtype), qf
+    # vecdot conjugates its first argument: conjugate it back
+    qs = np.concatenate([qf, -qf], axis=-1).conj()
+    for k in range(2, size + 1):
+        entry, sub = _expansion(d, k)
+        prev, cur = cur, np.vecdot(qs.take(entry, axis=-1),
+                                   cur.take(sub, axis=-1))
+    return prev, cur
 
 
 def _minor_residual_and_grad(q, r):
-    """Residual and its gradient for a real matrix (descent inner loop).
+    """Residual and its gradient for real matrices ``q`` of shape
+    (..., d, d): f of shape (...) and the gradient of shape (..., d, d).
 
     The gradient of det(M) is its cofactor matrix, and every cofactor of
-    an (r+1)-minor of ``q`` is a signed r-minor of ``q``, so one batched
-    determinant of the r x r submatrices gives all of them (the 0 x 0
-    determinant is 1).
+    an (r+1)-minor of ``q`` is a signed r-minor of ``q``.  The Laplace
+    recursion that builds the (r+1)-minors from the entries passes
+    through the r-minors, so one exact recursion, with no LU
+    factorization, gives the residual and every cofactor.
     """
-    d = q.shape[0]
-    gather, sub_gather, cofactor, sign = _minor_indices(d, r + 1)
-    flat = q.ravel()
-    dets = np.linalg.det(flat[gather])
-    f = float(np.sum(dets ** 2))
-    cof = sign * np.linalg.det(flat[sub_gather])[cofactor]
-    contrib = 2.0 * dets[:, None, None] * cof
-    grad = np.bincount(gather.ravel(), weights=contrib.ravel(),
-                       minlength=d * d).reshape(d, d)
-    return f, grad.astype(float, copy=False)  # bincount of nothing is int
+    d = q.shape[-1]
+    sub, minors = _minors(q.reshape(q.shape[:-2] + (d * d,)), d, r + 1)
+    minor, cof = _cofactors(d, r + 1)
+    signed = np.concatenate([sub, -sub], axis=-1)
+    grad = 2.0 * np.vecdot(minors.take(minor, axis=-1),
+                           signed.take(cof, axis=-1))
+    return np.vecdot(minors, minors), grad.reshape(q.shape)
+
+
+def _armijo(fg, t, f, g, g_tan, gn2, eta, tries):
+    """One backtracking step per row from ``t`` along ``-g_tan``.
+
+    A row accepts the first of ``tries`` steps, halving ``eta`` after
+    each, that lowers ``f`` by at least ``1e-4 * eta * gn2``; only the
+    rows still backtracking are evaluated again.  Returns the new rows,
+    residuals and gradients, and which rows accepted a step; a row that
+    accepted none keeps its ``t``, ``f`` and ``g``.
+    """
+    t_new = t - eta[:, None] * g_tan
+    t_new /= np.sqrt(np.vecdot(t_new, t_new))[:, None]
+    f_new, g_new = fg(t_new)
+    ok = f_new <= f - 1e-4 * eta * gn2
+    accepted = np.count_nonzero(ok)
+    if accepted == len(ok):
+        return t_new, f_new, g_new, ok
+    # when no row accepted, the slice passes the whole block on uncopied
+    rest = ~ok if accepted else slice(None)
+    back = t[rest], f[rest], g[rest], ok[rest]
+    if tries > 1:
+        back = _armijo(fg, *back[:3], g_tan[rest], gn2[rest],
+                       0.5 * eta[rest], tries - 1)
+    t_new[rest], f_new[rest], g_new[rest], ok[rest] = back
+    return t_new, f_new, g_new, ok
 
 
 def _sphere_descent(fg, t, max_iters):
-    """Projected gradient descent with backtracking on the unit sphere."""
+    """Projected gradient descent with backtracking on the unit sphere,
+    for a block of starts ``t`` of shape (R, kdim) advanced together.
+
+    ``fg`` maps an (n, kdim) block to residuals (n,) and gradients
+    (n, kdim).  Each row keeps its own tangent gradient, its own Armijo
+    step (:func:`_armijo`, up to 60 halvings) and its own stops: a
+    tangent gradient with squared norm at most 1e-36, no accepted step,
+    a residual at most 1e-32, or ``max_iters`` steps.  A stopped row
+    leaves the block, and rows never mix, so each row ends where it
+    would end alone.  Returns the final rows and their residuals.
+    """
+    t = np.asarray(t, dtype=float)
     f, g = fg(t)
-    for _ in range(max_iters):
-        g_tan = g - (g @ t) * t
-        gn2 = float(g_tan @ g_tan)
-        if gn2 <= 1e-36:
+    t_out, f_out = t.copy(), f.copy()
+    rows = np.arange(len(t))  # the output row of each row still descending
+    going = np.ones(len(t), dtype=bool)
+    for it in range(max_iters + 1):
+        g_tan = g - np.vecdot(g, t)[:, None] * t
+        gn2 = np.vecdot(g_tan, g_tan)
+        going &= gn2 > 1e-36
+        if np.count_nonzero(going) < len(going):
+            t_out[rows], f_out[rows] = t, f
+            rows, t, f, g, g_tan, gn2 = (
+                a[going] for a in (rows, t, f, g, g_tan, gn2))
+        if it == max_iters or not rows.size:
             break
-        eta = min(1.0, 2.0 * max(f, 1e-300) / gn2)
-        accepted = False
-        for _ in range(60):
-            t_new = t - eta * g_tan
-            t_new = t_new / np.linalg.norm(t_new)
-            f_new, g_new = fg(t_new)
-            if f_new <= f - 1e-4 * eta * gn2:
-                t, f, g = t_new, f_new, g_new
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted or f <= 1e-32:
-            break
-    return t, f
+        eta = np.minimum(1.0, 2.0 * np.maximum(f, 1e-300) / gn2)
+        t, f, g, ok = _armijo(fg, t, f, g, g_tan, gn2, eta, 60)
+        going = ok & (f > 1e-32)
+    t_out[rows], f_out[rows] = t, f
+    return t_out, f_out
+
+
+def _minor_objective(basis, d, r):
+    """The rank-``r`` minor residual on kernel coordinates: maps a block
+    ``t`` of shape (n, kdim) to the residuals (n,) of the d x d matrices
+    ``basis @ t[i]`` and their gradients (n, kdim).
+
+    The products are stacked, one BLAS call per row, so that a row's
+    arithmetic is the same in a block of any size.
+    """
+    basis_t = basis.T.copy()
+
+    def fg(t):
+        q = np.matmul(t[:, None], basis_t).reshape(-1, d, d)
+        f, grad = _minor_residual_and_grad(q, r)
+        return f, np.matmul(grad.reshape(-1, 1, d * d), basis).reshape(t.shape)
+    return fg
 
 
 def verify_kernel_minor_system(e, restarts=500, max_iters=250, seed=0, r=2):
     """Minimize the rank-``r`` minor residual over the unit sphere of
     ker(sampling map) by seeded multistart descent.
 
-    A minimum indistinguishable from zero exhibits a bounded-rank kernel
-    element; a clearly positive minimum is numerical evidence that the
-    kernel meets the rank variety only at zero.  Returns the sentinel
-    ``(inf, None)`` when the kernel is trivial.
+    Restart ``ridx`` starts from ``derived_rng(seed, 21, ridx)``; all
+    restarts advance as one block, each row with its own Armijo step
+    (see :func:`_sphere_descent`).  The best row (the first at the
+    lowest residual) is then polished alone for ``10 * max_iters`` more
+    steps.  A minimum indistinguishable from zero exhibits a
+    bounded-rank kernel element; a clearly positive minimum is numerical
+    evidence that the kernel meets the rank variety only at zero.
+    Returns the sentinel ``(inf, None)`` when the kernel is trivial.
     """
     if e.shape != "matrix" or e.field != "real":
         raise ValueError("expected a real matrix ensemble")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     rows = _stacked_rows(e, "real")
     basis, _ = _kernel_basis(rows)
     kdim = basis.shape[1]
     if kdim == 0:
         return MinorSystemResult(min_residual=math.inf, argmin=None, restarts=0)
-    d = e.d
-
-    def fg(t):
-        q = (basis @ t).reshape(d, d)
-        f, grad = _minor_residual_and_grad(q, r)
-        return f, basis.T @ grad.ravel()
-
-    best_f, best_t = math.inf, None
-    for ridx in range(restarts):
-        rng = derived_rng(seed, _STREAM_MINOR, ridx)
-        t = rng.standard_normal(kdim)
-        t = t / np.linalg.norm(t)
-        t, f = _sphere_descent(fg, t, max_iters)
-        if f < best_f:
-            best_f, best_t = f, t
-    t, f = _sphere_descent(fg, best_t, 10 * max_iters)
-    if f < best_f:
-        best_f, best_t = f, t
-    argmin = (basis @ best_t).reshape(d, d)
+    fg = _minor_objective(basis, e.d, r)
+    starts = np.array([derived_rng(seed, _STREAM_MINOR, ridx)
+                       .standard_normal(kdim) for ridx in range(restarts)])
+    starts /= np.linalg.norm(starts, axis=1)[:, None]
+    t, f = _sphere_descent(fg, starts, max_iters)
+    best = int(np.argmin(f))
+    best_f, best_t = f[best], t[best]
+    t, f = _sphere_descent(fg, best_t[None], 10 * max_iters)
+    if f[0] < best_f:
+        best_f, best_t = f[0], t[0]
+    argmin = (basis @ best_t).reshape(e.d, e.d)
     return MinorSystemResult(min_residual=float(best_f), argmin=argmin,
                              restarts=restarts)
 

@@ -36,6 +36,11 @@ class RecoverConfig:
     restarts: int = 10
     seed: int = 0
 
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(
+                f"restarts must be at least 1, got {self.restarts}")
+
 
 # recover_phase's default: near the minimal sample count a random start
 # falls outside the truth's basin more often, so it gets more restarts

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -13,3 +14,18 @@ def test_bench_selftest_passes():
                           cwd=ROOT, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_bench_minor_descent_run_is_correct():
+    """A zero-second run of the minor-descent workload: at least 100
+    operations, each checked against the benchmark's numpy-only
+    Cauchy-Binet and planted-rank checks."""
+    script = os.path.join(ROOT, "bench", "run.py")
+    proc = subprocess.run([sys.executable, script, "--workload",
+                           "minor-descent", "--seed", "1", "--seconds", "0"],
+                          cwd=ROOT, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0, proc.stderr
+    assert result["attempted"] >= 100

@@ -227,3 +227,19 @@ def test_recover_rejects_wrong_sample_count(capsys, tmp_path, kind, variety):
                  "--variety", variety])
     assert code == 2
     assert "expected 8 samples, got 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_verify_rejects_empty_restart_budget(capsys, value):
+    code = main(["verify", "--only", "minor", "--restarts", value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "restarts" in captured.err
+
+
+@pytest.mark.parametrize("setting", [["phase"], ["low_rank", "--r", "1"]])
+def test_sweep_rejects_empty_solver_restarts(capsys, setting):
+    code = main(["sweep", "--setting", *setting, "--d", "3", "--m-range",
+                 "9:9", "--trials", "1", "--solver-restarts", "0"])
+    assert code == 2
+    assert "restarts" in capsys.readouterr().err

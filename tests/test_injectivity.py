@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from varietyrec import (CERTIFIED_EXACT, INCONCLUSIVE, NO_WITNESS_FOUND,
                         NON_DEGENERATE, REFUTED_WITH_WITNESS,
@@ -16,7 +17,9 @@ from varietyrec import (CERTIFIED_EXACT, INCONCLUSIVE, NO_WITNESS_FOUND,
                         membership, minor_residual, symmetric_sampler,
                         verify_kernel_minor_system, witness_search,
                         witness_to_collision)
-from varietyrec.injectivity import _minor_residual_and_grad
+from varietyrec.injectivity import (_kernel_basis, _minor_objective,
+                                    _minor_residual_and_grad, _sphere_descent,
+                                    _stacked_rows)
 
 
 def _basis_matrix(d, i, j):
@@ -358,6 +361,70 @@ def test_verify_kernel_minor_system_finds_existing_witness():
             assert abs(np.linalg.norm(res.argmin) - 1.0) <= 1e-8
             return
     raise AssertionError("no witness-carrying draw in 20 seeds")
+
+
+def test_minor_residual_complex_matches_brute_force():
+    rng = np.random.default_rng(11)
+    for d in range(1, 6):
+        q = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for size in range(1, d + 2):  # size d + 1: no minors, zero
+            brute = 0.0
+            for rows in itertools.combinations(range(d), size):
+                for cols in itertools.combinations(range(d), size):
+                    brute += abs(np.linalg.det(q[np.ix_(rows, cols)])) ** 2
+            got = minor_residual(q, size - 1)
+            assert abs(got - brute) <= 1e-12 * max(1.0, brute), (d, size)
+
+
+def test_minor_residual_and_grad_on_a_stack():
+    rng = np.random.default_rng(12)
+    for d in range(1, 6):
+        for r in range(d + 1):
+            q = rng.standard_normal((3, d, d))
+            f, g = _minor_residual_and_grad(q, r)
+            assert f.shape == (3,) and g.shape == (3, d, d)
+            for i in range(3):
+                f_i, g_i = _minor_residual_and_grad(q[i], r)
+                assert f[i] == f_i and np.array_equal(g[i], g_i), (d, r, i)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), near=st.integers(0, 3),
+       far=st.integers(1, 4), noise=st.sampled_from([1e-14, 1e-13, 1e-12]),
+       max_iters=st.integers(3, 30))
+def test_sphere_descent_rows_are_independent(seed, near, far, noise,
+                                             max_iters):
+    # five operators orthogonal to a unit rank-2 matrix p: the start at p
+    # reaches the residual floor within a few steps, starts next to p
+    # stop early or backtrack at length, random starts run to the budget
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 4))
+    p /= np.linalg.norm(p)
+    ops = [g - np.sum(g * p) * p for g in rng.standard_normal((5, 4, 4))]
+    e = MeasurementEnsemble("real", "matrix", 4, ops)
+    basis, _ = _kernel_basis(_stacked_rows(e, "real"))
+    kdim = basis.shape[1]
+    planted = basis.T @ p.ravel()
+    starts = np.concatenate([
+        planted[None], planted + noise * rng.standard_normal((near, kdim)),
+        rng.standard_normal((far, kdim))])
+    starts = starts[rng.permutation(len(starts))]
+    starts /= np.linalg.norm(starts, axis=1)[:, None]
+    fg = _minor_objective(basis, 4, 2)
+    t, f = _sphere_descent(fg, starts, max_iters)
+    assert (f <= 1e-32).any() and (f > 1e-32).any()
+    for i in range(len(starts)):
+        t_i, f_i = _sphere_descent(fg, starts[i:i + 1], max_iters)
+        assert (abs(f[i] - f_i[0]) <= 1e-12 * f_i[0]
+                or max(f[i], f_i[0]) <= 1e-30), i
+        assert np.max(np.abs(t[i] - t_i[0])) <= 1e-8, i
+
+
+def test_verify_kernel_minor_system_rejects_empty_budget():
+    e = builtin11_ensemble()
+    for kwargs in ({"restarts": 0}, {"restarts": -3}, {"max_iters": -1}):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            verify_kernel_minor_system(e, **kwargs)
 
 
 # ---------------------------------------------------------------------------

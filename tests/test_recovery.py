@@ -318,3 +318,9 @@ def test_sweep_low_rank_threshold():
 def test_sweep_unknown_setting():
     with pytest.raises(ValueError):
         phase_transition_sweep("mystery", 4, 1, [1], 1)
+
+
+def test_recover_config_rejects_empty_restart_budget():
+    for restarts in (0, -3):
+        with pytest.raises(ValueError, match="restarts"):
+            RecoverConfig(restarts=restarts)
