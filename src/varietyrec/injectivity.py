@@ -27,7 +27,7 @@ import numpy as np
 from .sampling import (MeasurementEnsemble, apply, derived_rng, lift_ensemble,
                        lift_rank_one, tau, tau_inverse)
 from .varieties import (KIND_HERM_SIG, KIND_LOW_RANK, KIND_RANK_ONE_REAL,
-                        KIND_SPARSE, SIGNAL_KINDS, difference_closure,
+                        KIND_SPARSE, SIGNAL_KINDS, _norm, difference_closure,
                         equivalence_distance, hermitize, project)
 
 CERTIFIED_EXACT = "certified_exact"
@@ -46,6 +46,13 @@ _KERNEL_CUTOFF = 1e-10
 # extra iterations granted once a restart reaches feasibility, so the
 # returned witness is polished to the fixed point of both projections
 _POLISH_ITERS = 3000
+# most subsets per stacked rank test in complement_property
+_RANK_BLOCK = 1024
+# the sphere descent stops a row whose minor residual is at most this:
+# two decades above the largest residual, 1.2e-30, of 1,000 unit
+# matrices of rank exactly r per (d, r), 3 <= d <= 5, r <= 3, each read
+# through the kernel coordinates the descent works in
+_RESIDUAL_FLOOR = 1e-28
 
 
 @dataclasses.dataclass(frozen=True)
@@ -117,6 +124,30 @@ class ProbeResult:
 # ---------------------------------------------------------------------------
 
 
+def _block_fails(a, idx):
+    """Which subsets of a block fail with their complements: ``idx`` is
+    an (n, s) array of sorted row subsets of ``a``.
+
+    A side spans R^d when it has at least d rows and full rank.  One
+    stacked ``matrix_rank`` decides each side for the whole block; it
+    runs the same SVD with the same tolerance on every matrix as a
+    single call does.  As in the one-subset test, a complement is ranked
+    only when its subset does not span.
+    """
+    (m, d), (n, s) = a.shape, idx.shape
+    fails = np.ones(n, dtype=bool)
+    if s >= d:
+        fails = np.linalg.matrix_rank(a[idx]) < d
+    k = np.count_nonzero(fails)
+    if m - s < d or not k:
+        return fails
+    out = np.ones((k, m), dtype=bool)
+    out[np.arange(k)[:, None], idx[fails]] = False
+    comp = np.nonzero(out)[1].reshape(k, m - s)
+    fails[fails] = np.linalg.matrix_rank(a[comp]) < d
+    return fails
+
+
 def complement_property(vectors):
     """Check that every index subset or its complement spans R^d.
 
@@ -124,6 +155,14 @@ def complement_property(vectors):
     lexicographically first failing subset (0-based, sorted tuple).
     Refuses m > 24 (the test enumerates up to 2^m subsets); use
     witness search on the lifted problem beyond that.
+
+    The first pass decides the answer over subsets of size <= m/2, one
+    size at a time, in blocks of at most ``_RANK_BLOCK`` subsets, and
+    stops after the first block holding a failing pair.  A block's rank
+    tests run as stacked SVDs (:func:`_block_fails`), so each matrix
+    gets the test that a single ``matrix_rank`` call gives it.  A
+    refutation then searches depth-first, one subset at a time, for the
+    lexicographically first failing subset.
     """
     a = np.asarray(vectors, dtype=float)
     if a.ndim != 2:
@@ -132,6 +171,17 @@ def complement_property(vectors):
     if m > 24:
         raise ValueError("m > 24: subset enumeration refused; "
                          "run witness_search on the rank-one lift instead")
+
+    def blocks():
+        for size in range(m // 2 + 1):
+            combos = itertools.combinations(range(m), size)
+            while block := list(itertools.islice(combos, _RANK_BLOCK)):
+                yield np.array(block, dtype=np.intp).reshape(len(block), size)
+
+    # decide the boolean over complement pairs (|S| <= m/2 suffices)
+    if not any(_block_fails(a, idx).any() for idx in blocks()):
+        return True, None
+
     full = (1 << m) - 1
     cache = {}
 
@@ -145,21 +195,6 @@ def complement_property(vectors):
 
     def fails(mask):
         return not spans(mask) and not spans(full ^ mask)
-
-    # decide the boolean over complement pairs (|S| <= m/2 suffices)
-    found = False
-    for size in range(0, m // 2 + 1):
-        for comb in itertools.combinations(range(m), size):
-            mask = 0
-            for j in comb:
-                mask |= 1 << j
-            if fails(mask):
-                found = True
-                break
-        if found:
-            break
-    if not found:
-        return True, None
 
     # lexicographically first failing subset (depth-first = lex order)
     def rec(subset, mask, start):
@@ -274,7 +309,7 @@ def witness_search(e, w, cfg=None):
     for ridx in range(cfg.restarts):
         rng = derived_rng(cfg.seed, _STREAM_RESTART, ridx)
         x = basis @ rng.standard_normal(kdim)
-        nx = np.linalg.norm(x)
+        nx = _norm(x)
         if nx == 0.0:
             continue
         x = x / nx
@@ -289,12 +324,12 @@ def witness_search(e, w, cfg=None):
             iters += 1
             total_iters += 1
             q = project(_from_coords(x, shape, mode), w)
-            nq = float(np.linalg.norm(q))
+            nq = _norm(q)
             if nq < 1e-300:
                 break
             q = q / nq
             xv = _to_coords(q, mode)
-            res = float(np.linalg.norm(rows @ xv))
+            res = _norm(rows @ xv)
             history.append(res)
             if res < best_res:
                 best_res, best_q = res, q
@@ -314,11 +349,11 @@ def witness_search(e, w, cfg=None):
             if res <= 1e-14 * scale:
                 break
             x_new = basis @ (basis.T @ xv)
-            nn = np.linalg.norm(x_new)
+            nn = _norm(x_new)
             if nn < 1e-300:
                 break
             x_new = x_new / nn
-            delta = np.linalg.norm(x_new - x)
+            delta = _norm(x_new - x)
             x = x_new
             if delta <= (1e-15 if polishing else 1e-13):
                 break
@@ -671,9 +706,11 @@ def _sphere_descent(fg, t, max_iters):
     (n, kdim).  Each row keeps its own tangent gradient, its own Armijo
     step (:func:`_armijo`, up to 60 halvings) and its own stops: a
     tangent gradient with squared norm at most 1e-36, no accepted step,
-    a residual at most 1e-32, or ``max_iters`` steps.  A stopped row
-    leaves the block, and rows never mix, so each row ends where it
-    would end alone.  Returns the final rows and their residuals.
+    a residual at most ``_RESIDUAL_FLOOR`` (1e-28, above the roundoff of
+    the residual at a unit matrix of rank r), or ``max_iters`` steps.  A
+    stopped row leaves the block, and rows never mix, so each row ends
+    where it would end alone.  Returns the final rows and their
+    residuals.
     """
     t = np.asarray(t, dtype=float)
     f, g = fg(t)
@@ -692,7 +729,7 @@ def _sphere_descent(fg, t, max_iters):
             break
         eta = np.minimum(1.0, 2.0 * np.maximum(f, 1e-300) / gn2)
         t, f, g, ok = _armijo(fg, t, f, g, g_tan, gn2, eta, 60)
-        going = ok & (f > 1e-32)
+        going = ok & (f > _RESIDUAL_FLOOR)
     t_out[rows], f_out[rows] = t, f
     return t_out, f_out
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .sampling import (SampleVector, apply, derived_rng, gen_gaussian_matrices,
                        gen_gaussian_vectors, lift_rank_one)
-from .varieties import VarietySpec, equivalence_distance, project
+from .varieties import VarietySpec, _norm, equivalence_distance, project
 
 _STREAM_IHT = 30
 _STREAM_PHASE = 31
@@ -154,7 +154,7 @@ def _iht(e, yv, project_fn, cfg):
         return (v.conj() @ stack).reshape(d, d)
 
     def residual(x):
-        return float(np.linalg.norm(samples(x) - yc))
+        return _norm(samples(x) - yc)
 
     x0 = project_fn(adjoint(yc))
     scale0 = max(float(np.linalg.norm(x0)), 1.0)
@@ -177,8 +177,8 @@ def _iht(e, yv, project_fn, cfg):
             g = adjoint(yc - samples(x))
             # ||g||^2 = Re<r, M g>, so M g = 0 only when g = 0, and then
             # every step length leaves x where it is
-            mg2 = float(np.linalg.norm(samples(g)) ** 2)
-            eta = float(np.linalg.norm(g) ** 2) / mg2 if mg2 > 0 else 0.0
+            mg2 = _norm(samples(g)) ** 2
+            eta = _norm(g) ** 2 / mg2 if mg2 > 0 else 0.0
             x = project_fn(x + eta * g)
             total_iters += 1
             res = residual(x)

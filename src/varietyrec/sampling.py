@@ -74,7 +74,7 @@ class MeasurementEnsemble:
             a = np.array(a.real if self.field == "real" else a, dtype=dtype)
             if a.shape != want:
                 raise ValueError(f"operator shape {a.shape}, expected {want}")
-            if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+            if not np.isfinite(a).all():
                 raise ValueError("non-finite operator entries")
             a.setflags(write=False)
             ops.append(a)
@@ -119,17 +119,26 @@ class MeasurementEnsemble:
         return self._digest
 
 
-@dataclasses.dataclass
 class SampleVector:
-    """Measurements of one signal; ``y[j]`` pairs with ``operators[j]``."""
+    """Measurements of one signal; ``y[j]`` pairs with ``operators[j]``.
 
-    y: np.ndarray
-    provenance: str = None
+    ``provenance`` is the digest of the ensemble that took the samples
+    (:attr:`MeasurementEnsemble.digest`).  Samples made by :func:`apply`
+    hold their ensemble and hash it only when ``provenance`` is read.
+    """
 
-    def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=np.complex128)
+    def __init__(self, y, provenance=None, *, ensemble=None):
+        self.y = np.asarray(y, dtype=np.complex128)
         if self.y.ndim != 1:
             raise ValueError("samples must be one-dimensional")
+        self._provenance = provenance
+        self._ensemble = ensemble
+
+    @property
+    def provenance(self):
+        if self._ensemble is not None:
+            return self._ensemble.digest
+        return self._provenance
 
 
 def apply(e, x):
@@ -146,7 +155,7 @@ def apply(e, x):
         y = e.stack().conj() @ x.astype(np.complex128)
     else:
         y = e.stack() @ x.conj().ravel()
-    return SampleVector(y=y, provenance=e.digest)
+    return SampleVector(y=y, ensemble=e)
 
 
 def lift_rank_one(a):

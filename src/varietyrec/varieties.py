@@ -13,6 +13,7 @@ All operations are pure functions; arrays are never mutated.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -179,6 +180,19 @@ def _check_shape(x, w):
         raise ValueError(f"shape {x.shape} does not match ambient {w.ambient}")
 
 
+def _norm(x):
+    """Euclidean norm of a float or complex array's entries: the arithmetic
+    of ``np.linalg.norm(x)`` with ``ord=None`` (entries in memory order,
+    ``x . x`` for real entries or ``re . re + im . im`` for complex ones,
+    then a square root), without its argument handling, so the two agree
+    bit for bit."""
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
+
+
 def hermitize(x):
     """Hermitian part ``(x + x*) / 2`` of a square matrix; applying it
     twice gives the same bits as applying it once."""
@@ -195,7 +209,7 @@ def project(x, w):
     single largest positive and single most-negative eigenvalue.
     """
     x = np.asarray(x)
-    if not np.all(np.isfinite(x.real)) or not np.all(np.isfinite(x.imag)):
+    if not np.isfinite(x).all():
         raise ValueError("non-finite input")
     _check_shape(x, w)
 

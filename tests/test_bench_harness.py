@@ -16,16 +16,28 @@ def test_bench_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_bench_minor_descent_run_is_correct():
-    """A zero-second run of the minor-descent workload: at least 100
-    operations, each checked against the benchmark's numpy-only
-    Cauchy-Binet and planted-rank checks."""
+def _zero_second_run(workload):
+    """The result line of ``bench/run.py --seconds 0`` on one workload."""
     script = os.path.join(ROOT, "bench", "run.py")
-    proc = subprocess.run([sys.executable, script, "--workload",
-                           "minor-descent", "--seed", "1", "--seconds", "0"],
+    proc = subprocess.run([sys.executable, script, "--workload", workload,
+                           "--seed", "1", "--seconds", "0"],
                           cwd=ROOT, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] and result["failed"] == 0, proc.stderr
-    assert result["attempted"] >= 100
+    return result
+
+
+def test_bench_minor_descent_run_is_correct():
+    """A zero-second run of the minor-descent workload: at least 100
+    operations, each checked against the benchmark's numpy-only
+    Cauchy-Binet and planted-rank checks."""
+    assert _zero_second_run("minor-descent")["attempted"] >= 100
+
+
+def test_bench_certify_refute_run_is_correct():
+    """A zero-second run of the certify-refute workload: at least 100
+    refutations, each witness and collision re-checked against the raw
+    operators, including those the complement property finds."""
+    assert _zero_second_run("certify-refute")["attempted"] >= 100

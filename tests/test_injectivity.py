@@ -17,6 +17,7 @@ from varietyrec import (CERTIFIED_EXACT, INCONCLUSIVE, NO_WITNESS_FOUND,
                         membership, minor_residual, symmetric_sampler,
                         verify_kernel_minor_system, witness_search,
                         witness_to_collision)
+from varietyrec import injectivity
 from varietyrec.injectivity import (_kernel_basis, _minor_objective,
                                     _minor_residual_and_grad, _sphere_descent,
                                     _stacked_rows)
@@ -93,6 +94,29 @@ def test_complement_property_matches_brute_force():
         else:
             a = rng.integers(-1, 2, (m, d)).astype(float)
         assert complement_property(a) == _complement_oracle(a), a
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 10),
+       d=st.integers(1, 5), deficient=st.booleans())
+def test_complement_property_blocks_do_not_change_the_answer(seed, m, d,
+                                                             deficient):
+    # small integer and rank-deficient frames have many failing pairs,
+    # so with blocks of 1, 2 and 5 subsets the first one falls on a block
+    # boundary, inside a block or at its end
+    rng = np.random.default_rng(seed)
+    if deficient:
+        rank = int(rng.integers(0, d + 1))
+        a = (rng.integers(-2, 3, (m, rank))
+             @ rng.integers(-2, 3, (rank, d))).astype(float)
+    else:
+        a = rng.integers(-1, 2, (m, d)).astype(float)
+    want = complement_property(a)
+    assert want == _complement_oracle(a), a
+    for block in (1, 2, 5):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(injectivity, "_RANK_BLOCK", block)
+            assert complement_property(a) == want, (block, a)
 
 
 def test_complement_property_guard():
@@ -361,6 +385,22 @@ def test_verify_kernel_minor_system_finds_existing_witness():
             assert abs(np.linalg.norm(res.argmin) - 1.0) <= 1e-8
             return
     raise AssertionError("no witness-carrying draw in 20 seeds")
+
+
+def test_minor_polish_stops_at_the_residual_floor(monkeypatch):
+    # seed 3 has a rank-2 kernel element; its polish used to backtrack at
+    # the roundoff floor for about 76,000 residual evaluations
+    calls = []
+
+    def counted(q, r):
+        calls.append(q.shape)
+        return _minor_residual_and_grad(q, r)
+
+    monkeypatch.setattr(injectivity, "_minor_residual_and_grad", counted)
+    e = gen_gaussian_matrices(4, 11, "real", seed=3)
+    res = verify_kernel_minor_system(e, restarts=80)
+    assert res.min_residual <= injectivity._RESIDUAL_FLOOR
+    assert len(calls) < 5000
 
 
 def test_minor_residual_complex_matches_brute_force():

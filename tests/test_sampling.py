@@ -5,7 +5,8 @@ from varietyrec import (MeasurementEnsemble, apply, builtin11_ensemble,
                         derived_rng, ensemble_from_json, ensemble_to_json,
                         gen_gaussian_matrices, gen_gaussian_vectors,
                         gen_hermitian_rank, gen_symmetric_rank, jsonio,
-                        lift_ensemble, lift_rank_one, tau, tau_inverse)
+                        lift_ensemble, lift_rank_one, samples_to_json, tau,
+                        tau_inverse)
 
 
 def _basis_matrix(d, i, j):
@@ -26,6 +27,14 @@ def test_apply_examples():
     e = builtin11_ensemble()
     y = apply(e, _basis_matrix(4, 0, 0)).y
     assert y[0] == -4.0  # the (1,1) entry of the first reference matrix
+
+
+def test_apply_defers_the_provenance_digest():
+    e = gen_gaussian_matrices(3, 5, "complex", seed=4)
+    s = apply(e, np.eye(3))
+    assert e._digest is None
+    assert samples_to_json(s)["provenance"] == e.digest
+    assert samples_to_json(apply(e, np.eye(3)))["provenance"] == e.digest
 
 
 def test_apply_shape_mismatch():

@@ -3,6 +3,7 @@ import pytest
 
 from varietyrec import (VarietySpec, dim_complex_symmetric, dim_low_rank,
                         dim_sparse, difference_closure, membership, project)
+from varietyrec.varieties import _norm
 
 
 def test_dim_low_rank_values():
@@ -91,6 +92,20 @@ def test_project_sparse_tie_break_lowest_index():
 def test_project_rejects_non_finite():
     with pytest.raises(ValueError):
         project(np.array([np.nan, 0.0]), VarietySpec.sparse(2, 1))
+    rng = np.random.default_rng(3)
+    for w in _PROJECTABLE:
+        x = _random_point(rng, w)
+        for bad in (np.nan, np.inf, -np.inf):
+            for value in (complex(bad, 0.0), complex(0.0, bad)):
+                y = x.astype(complex)
+                y.flat[-1] = value
+                with pytest.raises(ValueError, match="non-finite"):
+                    project(y, w)
+            if not np.iscomplexobj(x):
+                y = x.copy()
+                y.flat[0] = bad
+                with pytest.raises(ValueError, match="non-finite"):
+                    project(y, w)
 
 
 def _random_point(rng, w):
@@ -169,3 +184,17 @@ def test_spec_validation():
         VarietySpec("no_such_kind", 4, 1, "real")
     with pytest.raises(ValueError):
         VarietySpec("sparse", 4, 1, "rational")
+
+
+def test_norm_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        a = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-8, 8)
+        c = a + 1j * rng.standard_normal((6, 5))
+        for x in (a, c):
+            for v in (x, x.T, x[::2, 1::2], x[::-1], x[0], x[:, 1],
+                      x.ravel()[::3], np.asfortranarray(x)):
+                want = np.linalg.norm(v)
+                got = _norm(v)
+                assert type(got) is float
+                assert got == want, v
