@@ -124,28 +124,70 @@ class ProbeResult:
 # ---------------------------------------------------------------------------
 
 
-def _block_fails(a, idx):
-    """Which subsets of a block fail with their complements: ``idx`` is
-    an (n, s) array of sorted row subsets of ``a``.
+def _block_tests(a, idx):
+    """Which subsets of a block span R^d, and which fail with their
+    complements: ``idx`` is an (n, s) array of sorted row subsets of
+    ``a``; returns two boolean arrays of length n, ``(fails, spans)``.
 
     A side spans R^d when it has at least d rows and full rank.  One
     stacked ``matrix_rank`` decides each side for the whole block; it
     runs the same SVD with the same tolerance on every matrix as a
-    single call does.  As in the one-subset test, a complement is ranked
-    only when its subset does not span.
+    single call does.  A complement is ranked only when its subset does
+    not span.
     """
     (m, d), (n, s) = a.shape, idx.shape
-    fails = np.ones(n, dtype=bool)
+    spans = np.zeros(n, dtype=bool)
     if s >= d:
-        fails = np.linalg.matrix_rank(a[idx]) < d
+        spans = np.linalg.matrix_rank(a[idx]) == d
+    fails = ~spans
     k = np.count_nonzero(fails)
     if m - s < d or not k:
-        return fails
+        return fails, spans
     out = np.ones((k, m), dtype=bool)
     out[np.arange(k)[:, None], idx[fails]] = False
     comp = np.nonzero(out)[1].reshape(k, m - s)
     fails[fails] = np.linalg.matrix_rank(a[comp]) < d
-    return fails
+    return fails, spans
+
+
+def _children(subset, m):
+    """The subsets one index longer that follow ``subset`` in the
+    lexicographic preorder.  The root ``()`` has the one child ``(0,)``:
+    once the whole frame spans, a failing subset and its complement fail
+    together, and the one holding index 0 comes first."""
+    if not subset:
+        return [(0,)] if m else []
+    return [subset + (j,) for j in range(subset[-1] + 1, m)]
+
+
+def _rank_ahead(a, walk, ranked, n):
+    """Rank up to ``n`` untested subsets met by walking the preorder
+    from the top of the stack ``walk`` (a list, consumed), and record
+    ``(fails, spans)`` for each in ``ranked``.
+
+    The walk descends only where the search will: into subsets of fewer
+    than d rows, which cannot span, and into subsets known not to span.
+    An untested subset of d or more rows holds its children back for a
+    later block, and a subset known to fail ends the walk.
+    """
+    m, d = a.shape
+    block = []
+    while walk and len(block) < n:
+        subset = walk.pop()
+        known = ranked.get(subset)
+        if known is None:
+            block.append(subset)
+        elif known[0]:
+            break
+        if len(subset) < d or (known is not None and not known[1]):
+            walk.extend(reversed(_children(subset, m)))
+    by_size = {}
+    for subset in block:
+        by_size.setdefault(len(subset), []).append(subset)
+    for size, group in by_size.items():
+        idx = np.array(group, dtype=np.intp).reshape(len(group), size)
+        fails, spans = _block_tests(a, idx)
+        ranked.update(zip(group, zip(fails.tolist(), spans.tolist())))
 
 
 def complement_property(vectors):
@@ -153,60 +195,52 @@ def complement_property(vectors):
 
     Returns ``(True, None)`` or ``(False, S)`` with ``S`` the
     lexicographically first failing subset (0-based, sorted tuple).
-    Refuses m > 24 (the test enumerates up to 2^m subsets); use
-    witness search on the lifted problem beyond that.
+    Refuses m > 24 (the search may visit up to 2^(m-1) subsets) and
+    non-finite frames; use witness search on the lifted problem beyond
+    that.
 
-    The first pass decides the answer over subsets of size <= m/2, one
-    size at a time, in blocks of at most ``_RANK_BLOCK`` subsets, and
-    stops after the first block holding a failing pair.  A block's rank
-    tests run as stacked SVDs (:func:`_block_fails`), so each matrix
-    gets the test that a single ``matrix_rank`` call gives it.  A
-    refutation then searches depth-first, one subset at a time, for the
-    lexicographically first failing subset.
+    One depth-first search visits the subsets in lexicographic order
+    (preorder, with ``S + (j,)`` for j > max(S) below ``S``) and stops
+    at the first one that fails.  It visits only part of the tree:
+
+    * after the root ``()`` (does the whole frame span?) it visits only
+      subsets holding index 0, since a failing subset and its
+      complement fail together and the one holding 0 comes first;
+    * a spanning subset's subtree is skipped, since every superset of it
+      spans and so cannot fail.
+
+    Rank tests run ahead of the search, in blocks taken in search order
+    (:func:`_rank_ahead`) and ranked by subset size as stacked SVDs
+    (:func:`_block_tests`), so each matrix gets the test that a single
+    ``matrix_rank`` call gives it.  The first block holds at most
+    ``min(32, _RANK_BLOCK)`` subsets and each later one twice as many,
+    up to ``_RANK_BLOCK``: a refutation stops after a few dozen rank
+    tests, and a passing frame needs few LAPACK calls.
     """
     a = np.asarray(vectors, dtype=float)
     if a.ndim != 2:
         raise ValueError("expected a list of equal-length real vectors")
-    m, d = a.shape
+    m, _ = a.shape
     if m > 24:
         raise ValueError("m > 24: subset enumeration refused; "
                          "run witness_search on the rank-one lift instead")
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite input")
 
-    def blocks():
-        for size in range(m // 2 + 1):
-            combos = itertools.combinations(range(m), size)
-            while block := list(itertools.islice(combos, _RANK_BLOCK)):
-                yield np.array(block, dtype=np.intp).reshape(len(block), size)
-
-    # decide the boolean over complement pairs (|S| <= m/2 suffices)
-    if not any(_block_fails(a, idx).any() for idx in blocks()):
-        return True, None
-
-    full = (1 << m) - 1
-    cache = {}
-
-    def spans(mask):
-        val = cache.get(mask)
-        if val is None:
-            idx = [j for j in range(m) if (mask >> j) & 1]
-            val = len(idx) >= d and np.linalg.matrix_rank(a[idx]) == d
-            cache[mask] = val
-        return val
-
-    def fails(mask):
-        return not spans(mask) and not spans(full ^ mask)
-
-    # lexicographically first failing subset (depth-first = lex order)
-    def rec(subset, mask, start):
-        if fails(mask):
-            return subset
-        for j in range(start, m):
-            hit = rec(subset + (j,), mask | (1 << j), j + 1)
-            if hit is not None:
-                return hit
-        return None
-
-    return False, rec((), 0, 0)
+    ranked = {}  # (fails, spans) of subsets the search has yet to visit
+    n = min(32, _RANK_BLOCK)
+    stack = [()]
+    while stack:
+        subset = stack.pop()
+        if subset not in ranked:
+            _rank_ahead(a, stack + [subset], ranked, n)
+            n = min(2 * n, _RANK_BLOCK)
+        fails, spans = ranked.pop(subset)
+        if fails:
+            return False, subset
+        if not spans:
+            stack.extend(reversed(_children(subset, m)))
+    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +565,8 @@ def certify(e, signal, cfg=None):
         if ok:
             return InjectivityVerdict(status=CERTIFIED_EXACT, tolerances=tols)
         frame = np.stack(vectors)
-        comp = tuple(j for j in range(e.m) if j not in set(subset))
+        held = set(subset)
+        comp = tuple(j for j in range(e.m) if j not in held)
         u = _null_vector(frame[list(subset)], e.d)
         v = _null_vector(frame[list(comp)], e.d)
         q = np.outer(u, v)

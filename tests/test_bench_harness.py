@@ -41,3 +41,10 @@ def test_bench_certify_refute_run_is_correct():
     refutations, each witness and collision re-checked against the raw
     operators, including those the complement property finds."""
     assert _zero_second_run("certify-refute")["attempted"] >= 100
+
+
+def test_bench_certify_exhaust_run_is_correct():
+    """A zero-second run of the certify-exhaust workload: at least 100
+    operations, each checked, including the real_phase_d7_m13 frames the
+    complement property certifies exactly."""
+    assert _zero_second_run("certify-exhaust")["attempted"] >= 100

@@ -1,9 +1,10 @@
+import gc
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from varietyrec import (CERTIFIED_EXACT, INCONCLUSIVE, NO_WITNESS_FOUND,
                         NON_DEGENERATE, REFUTED_WITH_WITNESS,
@@ -97,13 +98,21 @@ def test_complement_property_matches_brute_force():
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 10),
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 12),
        d=st.integers(1, 5), deficient=st.booleans())
+# deep frames whose first failing subset lies below a pruned sibling: a
+# spanning subset holding 0 and with children, such as (0, 1, 2, 3, 4)
+# before (0, 1, 3, 5) at seed 20, m = 11, d = 5
+@example(seed=45, m=11, d=4, deficient=True)
+@example(seed=7, m=11, d=5, deficient=True)
+@example(seed=20, m=11, d=5, deficient=True)
+@example(seed=89, m=12, d=5, deficient=True)
 def test_complement_property_blocks_do_not_change_the_answer(seed, m, d,
                                                              deficient):
     # small integer and rank-deficient frames have many failing pairs,
-    # so with blocks of 1, 2 and 5 subsets the first one falls on a block
-    # boundary, inside a block or at its end
+    # so with blocks of 1, 2, 5 and 32 subsets (the first block shrinks
+    # with _RANK_BLOCK) the first one falls on a block boundary, inside a
+    # block, at its end or behind a subtree held back for a later block
     rng = np.random.default_rng(seed)
     if deficient:
         rank = int(rng.integers(0, d + 1))
@@ -113,7 +122,7 @@ def test_complement_property_blocks_do_not_change_the_answer(seed, m, d,
         a = rng.integers(-1, 2, (m, d)).astype(float)
     want = complement_property(a)
     assert want == _complement_oracle(a), a
-    for block in (1, 2, 5):
+    for block in (1, 2, 5, 32):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(injectivity, "_RANK_BLOCK", block)
             assert complement_property(a) == want, (block, a)
@@ -122,6 +131,53 @@ def test_complement_property_blocks_do_not_change_the_answer(seed, m, d,
 def test_complement_property_guard():
     with pytest.raises(ValueError):
         complement_property(np.ones((25, 2)))
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        a[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite input"):
+            complement_property(a)
+
+
+@pytest.mark.parametrize("d,m,most", [(8, 14, 64), (7, 12, 64),
+                                      (7, 13, 2600)])
+def test_complement_property_rank_count(monkeypatch, d, m, most):
+    # the search skips the subtrees of spanning subsets and the subsets
+    # without index 0, and ranks a few dozen subsets ahead of a
+    # refutation; enumerating every subset of size <= m/2 ranks 6,483
+    # matrices at d=8, m=14, 1,592 at d=7, m=12 and 4,096 at d=7, m=13
+    matrix_rank = np.linalg.matrix_rank
+    count = 0
+
+    def counting(x, *args, **kwargs):
+        nonlocal count
+        x = np.asarray(x)
+        count += x.shape[0] if x.ndim == 3 else 1
+        return matrix_rank(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counting)
+    for seed in range(5):
+        count = 0
+        a = np.stack(gen_gaussian_vectors(d, m, "real", seed=seed).operators)
+        ok, _ = complement_property(a)
+        assert ok == (m >= 2 * d - 1)
+        assert count <= most, (seed, count)
+
+
+def test_complement_property_leaves_no_reference_cycles():
+    # a cycle would keep the search's rank cache alive until a full
+    # collection, which raises the peak memory of long runs
+    passing = np.stack(gen_gaussian_vectors(7, 13, "real", seed=0).operators)
+    refuted = np.stack(gen_gaussian_vectors(8, 14, "real", seed=0).operators)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            assert complement_property(passing)[0]
+        for _ in range(20):
+            assert not complement_property(refuted)[0]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
