@@ -18,8 +18,8 @@ from .injectivity import (REFUTED_WITH_WITNESS, NO_WITNESS_FOUND,
                           symmetric_sampler, verify_kernel_minor_system)
 from .recovery import (PHASE_CONFIG, RecoverConfig, phase_transition_sweep,
                        recover_low_rank, recover_phase, recover_sparse)
-from .refdata import (EXPECTED_DIGEST, builtin11_ensemble, corner_skew,
-                      data_digest)
+from .refdata import (EXPECTED_DIGEST, PUBLISHED_EXACT, builtin11_ensemble,
+                      corner_skew, data_digest)
 from .sampling import (gen_gaussian_matrices, gen_gaussian_vectors,
                        gen_hermitian_rank, gen_symmetric_rank, load_ensemble,
                        load_samples, ensemble_to_json)
@@ -357,11 +357,10 @@ def _check_threshold(args):
 
 
 def _check_bounds():
-    ok = True
-    for d, want in ((5, 16), (6, 18), (7, 23), (9, 32), (15, 54), (2, 3)):
-        ok = ok and bounds_mod.complex_pr_bounds(d).exact == want
-    ok = ok and bounds_mod.real_pr_bounds(5).exact == 9
-    ok = ok and bounds_mod.real_pr_bounds(6).exact == 10
+    ok = all(bounds_mod.complex_pr_bounds(d).exact == want
+             for d, want in PUBLISHED_EXACT["complex_pr"].items())
+    ok = ok and all(bounds_mod.real_pr_bounds(d).exact == want
+                    for d, want in PUBLISHED_EXACT["real_pr"].items())
     for d in range(5, 4099):
         rep = bounds_mod.complex_pr_bounds(d)
         if rep.lower > rep.upper:

@@ -25,10 +25,11 @@ import math
 import numpy as np
 
 from .sampling import (MeasurementEnsemble, apply, derived_rng, lift_ensemble,
-                       lift_rank_one, tau, tau_inverse)
+                       lift_rank_one)
 from .varieties import (KIND_HERM_SIG, KIND_LOW_RANK, KIND_RANK_ONE_REAL,
-                        KIND_SPARSE, SIGNAL_KINDS, _norm, difference_closure,
-                        equivalence_distance, hermitize, project)
+                        KIND_SPARSE, SIGNAL_KINDS, _norm, _projection,
+                        difference_closure, equivalence_distance, hermitize,
+                        project)
 
 CERTIFIED_EXACT = "certified_exact"
 NO_WITNESS_FOUND = "no_witness_found"
@@ -53,6 +54,13 @@ _RANK_BLOCK = 1024
 # matrices of rank exactly r per (d, r), 3 <= d <= 5, r <= 3, each read
 # through the kernel coordinates the descent works in
 _RESIDUAL_FLOOR = 1e-28
+
+# why a witness-search restart ended (SearchResult.stops): it reached
+# feasibility; its step fell below the fixed-point tolerance; its
+# residual fell to 1e-14 * scale; a start, projection or kernel step had
+# norm zero; it spent its budget; it spent max(20000, max_iters)
+STOP_REASONS = ("feasible", "fixed_point", "residual_floor", "zero_norm",
+                "budget", "hard_cap")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,6 +99,8 @@ class SearchResult:
     iterations: int = 0
     kernel_dim: int = 0
     scale: float = 0.0
+    # restarts run, by STOP_REASONS; the counts sum to restarts_used
+    stops: dict = dataclasses.field(default_factory=dict)
 
 
 @dataclasses.dataclass
@@ -248,9 +258,13 @@ def complement_property(vectors):
 # ---------------------------------------------------------------------------
 #
 # Witness search runs in a real coordinate system matched to the variety:
-#   real       flatten (real ambient)
-#   complex    [Re; Im] blocks, 2n coordinates
-#   hermitian  tau^-1 realification (a Frobenius isometry onto R^{d x d})
+#   real       the entries of the real ambient array
+#   complex    Re and Im of each entry, interleaved, so that the
+#              coordinates read as complex numbers are the entries
+#   hermitian  Re + Im of a Hermitian matrix, the inverse of the
+#              realification tau(a) = (a + a^T)/2 + i (a - a^T)/2 (a
+#              Frobenius isometry from R^{d x d}); a herm_sig projection
+#              is Hermitian up to rounding and is read the same way
 # All three are isometries, so unit coordinate vectors are unit-Frobenius
 # ambient elements and kernel projections are orthogonal projections.
 
@@ -261,40 +275,32 @@ def _variety_mode(w):
     return "real" if w.field == "real" else "complex"
 
 
-def _to_coords(x, mode):
-    x = np.asarray(x)
-    if mode == "real":
-        return np.ascontiguousarray(x.real, dtype=float).ravel()
-    if mode == "complex":
-        v = x.ravel()
-        return np.concatenate([v.real, v.imag])
-    return tau_inverse(hermitize(x)).ravel()
-
-
-def _from_coords(v, shape, mode):
-    if mode == "real":
-        return v.reshape(shape)
-    if mode == "complex":
-        n = v.size // 2
-        return (v[:n] + 1j * v[n:]).reshape(shape)
-    return tau(v.reshape(shape))
-
-
 def _stacked_rows(e, mode):
-    """Real matrix whose kernel (as coordinates) is ker of the sampling map."""
-    rows = []
-    for op in e.operators:
-        a = op.ravel()
-        if mode == "real":
-            rows.append(a.real)
-            if e.field == "complex":
-                rows.append(a.imag)
-        elif mode == "complex":
-            rows.append(np.concatenate([a.real, a.imag]))
-            rows.append(np.concatenate([a.imag, -a.real]))
-        else:
-            rows.append(tau_inverse(hermitize(op)).ravel())
-    return np.array(rows, dtype=float)
+    """Real matrix whose kernel (as coordinates) is ker of the sampling
+    map, in one pass over the stacked operators.  The complex mode lays
+    its coordinates out in [Re; Im] blocks here (see :func:`_search_space`).
+
+    The hermitian rows are those of the operators' Hermitian parts; an
+    operator further than 1e-10 of its Frobenius norm (or 1e-10, if the
+    norm is below 1) from its Hermitian part is refused.
+    """
+    a = e.stack()
+    m = len(a)
+    if mode == "real":
+        if e.field == "complex":
+            return np.stack([a.real, a.imag], axis=1).reshape(2 * m, -1)
+        return np.array(a, dtype=float)
+    if mode == "complex":
+        return np.stack([np.concatenate([a.real, a.imag], axis=1),
+                         np.concatenate([a.imag, -a.real], axis=1)],
+                        axis=1).reshape(2 * m, -1)
+    ops = a.reshape(m, e.d, e.d)
+    adj = ops.conj().transpose(0, 2, 1)
+    dev = np.abs(ops - adj).max(axis=(1, 2))
+    if (dev > 1e-10 * np.maximum(1.0, np.linalg.norm(ops, axis=(1, 2)))).any():
+        raise ValueError("herm_sig search needs Hermitian operators")
+    h = 0.5 * (ops + adj)
+    return (h.real + h.imag).reshape(m, -1)
 
 
 def _kernel_basis(rows):
@@ -304,6 +310,55 @@ def _kernel_basis(rows):
     smax = float(s[0]) if s.size else 0.0
     rank = int(np.sum(s > _KERNEL_CUTOFF * smax)) if smax > 0 else 0
     return vt[rank:].T.copy(), smax
+
+
+def _finite_norm(x):
+    """Euclidean norm of a real vector, refusing a non-finite one: the
+    norm is finite exactly when every entry is, as long as the entries
+    are far below the overflow threshold."""
+    n = math.sqrt(x.dot(x))
+    if not math.isfinite(n):
+        raise ValueError("non-finite input")
+    return n
+
+
+def _hermitian(a):
+    """tau(a) for a real square matrix ``a``, without the checks of
+    :func:`~varietyrec.sampling.tau`: the products with (1 +- i)/2 only
+    halve, so each entry is rounded once, as in tau, and the result is
+    exactly Hermitian."""
+    return a * (0.5 + 0.5j) + a.T * (0.5 - 0.5j)
+
+
+def _search_space(e, w):
+    """The coordinates witness search iterates on, for the ensemble ``e``
+    and the variety ``w``: ``(rows, basis, scale, ambient, coords)``.
+
+    ``rows`` maps coordinates to the real and imaginary parts of the
+    samples; ``basis`` is an orthonormal basis of its kernel and
+    ``scale`` its largest singular value (:func:`_kernel_basis`).
+    ``ambient(x)`` is the ambient array of a contiguous coordinate vector
+    ``x``, a view of ``x`` except in the hermitian mode, and
+    ``coords(q)`` the coordinate vector of a contiguous ambient array,
+    a view of ``q`` except in the hermitian mode.
+
+    The complex kernel basis is computed in the [Re; Im] block layout
+    and its rows then moved to the interleaved one: a basis computed
+    from the permuted rows would differ, and so would the seeded starts.
+    """
+    mode = _variety_mode(w)
+    rows = _stacked_rows(e, mode)
+    basis, scale = _kernel_basis(rows)
+    shape = w.ambient_shape()
+    if mode == "hermitian":
+        return (rows, basis, scale, lambda x: _hermitian(x.reshape(shape)),
+                lambda q: (q.real + q.imag).reshape(-1))
+    if mode == "complex":
+        perm = np.arange(rows.shape[1]).reshape(2, -1).T.reshape(-1)
+        rows, basis = rows[:, perm], basis[perm]
+    dtype = float if mode == "real" else complex
+    return (rows, basis, scale, lambda x: x.view(dtype).reshape(shape),
+            lambda q: q.reshape(-1).view(float))
 
 
 # ---------------------------------------------------------------------------
@@ -319,34 +374,37 @@ def witness_search(e, w, cfg=None):
     each iteration, over ``cfg.restarts`` independent seeded starts.
     Feasibility means sample residual at most ``tol_feas`` times the
     operator scale.  The returned margin is the smallest residual seen at
-    any unit-norm variety point, across all restarts.
+    any unit-norm variety point, across all restarts, and ``stops``
+    counts the restarts by why they ended (``STOP_REASONS``).
+
+    The loop runs on real coordinate vectors that share memory with the
+    ambient arrays they stand for (:func:`_search_space`), with the
+    projection looked up once (:func:`~varietyrec.varieties._projection`).
+    A non-finite start or kernel step, and so a non-finite projection
+    input, raises ``ValueError``.
     """
     cfg = cfg or SearchConfig()
     if w.ambient[0] != e.shape or w.d != e.d:
         raise ValueError("variety ambient does not match ensemble shape")
-    mode = _variety_mode(w)
-    if mode == "hermitian":
-        for op in e.operators:
-            dev = np.max(np.abs(op - op.conj().T))
-            if dev > 1e-10 * max(1.0, float(np.linalg.norm(op))):
-                raise ValueError("herm_sig search needs Hermitian operators")
-    rows = _stacked_rows(e, mode)
-    basis, scale = _kernel_basis(rows)
+    rows, basis, scale, ambient, coords = _search_space(e, w)
     kdim = basis.shape[1]
+    stops = dict.fromkeys(STOP_REASONS, 0)
     if kdim == 0:
-        return SearchResult(kernel_dim=0, scale=scale)
+        return SearchResult(kernel_dim=0, scale=scale, stops=stops)
 
-    shape = w.ambient_shape()
+    proj = _projection(w)
+    basis_t = basis.T.copy()
     feas = cfg.tol_feas * max(scale, 1e-300)
     margin = math.inf
     total_iters = 0
     for ridx in range(cfg.restarts):
         rng = derived_rng(cfg.seed, _STREAM_RESTART, ridx)
         x = basis @ rng.standard_normal(kdim)
-        nx = _norm(x)
+        nx = _finite_norm(x)
         if nx == 0.0:
+            stops["zero_norm"] += 1
             continue
-        x = x / nx
+        x /= nx
         best_res = math.inf
         best_q = None
         iters = 0
@@ -357,13 +415,16 @@ def witness_search(e, w, cfg=None):
         while iters < budget:
             iters += 1
             total_iters += 1
-            q = project(_from_coords(x, shape, mode), w)
-            nq = _norm(q)
+            q = proj(ambient(x), w)
+            flat = q.reshape(-1).view(float)
+            nq = math.sqrt(flat.dot(flat))
             if nq < 1e-300:
+                stop = "zero_norm"
                 break
-            q = q / nq
-            xv = _to_coords(q, mode)
-            res = _norm(rows @ xv)
+            flat /= nq
+            xv = coords(q)
+            r = rows @ xv
+            res = math.sqrt(r.dot(r))
             history.append(res)
             if res < best_res:
                 best_res, best_q = res, q
@@ -381,24 +442,32 @@ def witness_search(e, w, cfg=None):
                 if res <= 0.5 * back:
                     budget = min(hard_cap, budget + 500)
             if res <= 1e-14 * scale:
+                stop = "residual_floor"
                 break
-            x_new = basis @ (basis.T @ xv)
-            nn = _norm(x_new)
+            x_new = basis @ (basis_t @ xv)
+            nn = _finite_norm(x_new)
             if nn < 1e-300:
+                stop = "zero_norm"
                 break
-            x_new = x_new / nn
-            delta = _norm(x_new - x)
+            x_new /= nn
+            step = x_new - x
             x = x_new
-            if delta <= (1e-15 if polishing else 1e-13):
+            if math.sqrt(step.dot(step)) <= (1e-15 if polishing else 1e-13):
+                stop = "fixed_point"
                 break
+        else:
+            stop = "hard_cap" if budget >= hard_cap else "budget"
         if best_q is not None and best_res <= feas:
+            stops["feasible"] += 1
             wit = Witness(element=best_q, residual=best_res,
                           restart=ridx, iterations=iters)
             return SearchResult(witness=wit, margin=float(margin),
                                 restarts_used=ridx + 1, iterations=total_iters,
-                                kernel_dim=kdim, scale=scale)
+                                kernel_dim=kdim, scale=scale, stops=stops)
+        stops[stop] += 1
     return SearchResult(margin=float(margin), restarts_used=cfg.restarts,
-                        iterations=total_iters, kernel_dim=kdim, scale=scale)
+                        iterations=total_iters, kernel_dim=kdim, scale=scale,
+                        stops=stops)
 
 
 # ---------------------------------------------------------------------------
@@ -548,13 +617,12 @@ def certify(e, signal, cfg=None):
             e_search = lift_ensemble(e)
 
     if w.is_full_space():
-        mode = _variety_mode(w)
-        rows = _stacked_rows(e_search, mode)
-        basis, _ = _kernel_basis(rows)
+        rows, basis, _, ambient, _ = _search_space(e_search, w)
         if basis.shape[1] == 0:
             return InjectivityVerdict(status=CERTIFIED_EXACT, tolerances=tols)
-        q = _from_coords(basis[:, 0], w.ambient_shape(), mode)
-        res = float(np.linalg.norm(rows @ basis[:, 0]))
+        x = basis[:, 0].copy()
+        q = ambient(x)
+        res = _norm(rows @ x)
         wit = Witness(element=q, residual=res, restart=0, iterations=0)
         return InjectivityVerdict(status=REFUTED_WITH_WITNESS, witness=wit,
                                   collision=witness_to_collision(q, signal),

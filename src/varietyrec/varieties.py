@@ -123,8 +123,8 @@ class VarietySpec:
         return ("matrix", self.d)
 
     def ambient_shape(self):
-        kind, d = self.ambient
-        return (d,) if kind == "vector" else (d, d)
+        d = self.d
+        return (d,) if self.kind == KIND_SPARSE else (d, d)
 
     def dimension(self):
         """Dimension of the variety (complex count for complex kinds;
@@ -212,39 +212,64 @@ def project(x, w):
     if not np.isfinite(x).all():
         raise ValueError("non-finite input")
     _check_shape(x, w)
-
-    if w.kind == KIND_SPARSE:
-        k = w.param
-        out = np.zeros_like(x)
-        if k > 0:
-            order = np.argsort(-np.abs(x), kind="stable")
-            keep = order[:k]
-            out[keep] = x[keep]
-        return out
-
-    if w.kind in (KIND_LOW_RANK, KIND_RANK_ONE_REAL):
-        r = w.param
-        xm = x.real if w.field == "real" else x
-        if r == 0:
-            return np.zeros_like(xm)
-        u, s, vh = np.linalg.svd(xm, full_matrices=False)
-        return (u[:, :r] * s[:r]) @ vh[:r]
-
     if w.kind == KIND_HERM_SIG:
-        h = hermitize(x).astype(complex)
-        vals, vecs = np.linalg.eigh(h)
-        out = np.zeros_like(h)
-        ip = int(np.argmax(vals))
-        if vals[ip] > 0:
-            u = vecs[:, ip]
-            out += vals[ip] * np.outer(u, u.conj())
-        im = int(np.argmin(vals))
-        if vals[im] < 0:
-            u = vecs[:, im]
-            out += vals[im] * np.outer(u, u.conj())
-        return out
+        x = hermitize(x).astype(complex)
+    return _projection(w)(x, w)
 
-    raise ValueError(f"no metric projection for kind {w.kind!r}")
+
+def _project_sparse(x, w):
+    out = np.zeros_like(x)
+    k = w.param
+    if k > 0:
+        keep = np.argsort(-np.abs(x), kind="stable")[:k]
+        out[keep] = x[keep]
+    return out
+
+
+def _project_low_rank(x, w):
+    r = w.param
+    if w.field == "real":
+        x = x.real
+    if r == 0:
+        return np.zeros_like(x)
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    return (u[:, :r] * s[:r]) @ vh[:r]
+
+
+def _project_herm_sig(h, w):
+    vals, vecs = np.linalg.eigh(h)
+    out = np.zeros_like(h)
+    ip = vals.argmax()
+    if vals[ip] > 0:
+        u = vecs[:, ip]
+        out += vals[ip] * (u[:, None] * u.conj())
+    im = vals.argmin()
+    if vals[im] < 0:
+        u = vecs[:, im]
+        out += vals[im] * (u[:, None] * u.conj())
+    return out
+
+
+_PROJECTIONS = {KIND_SPARSE: _project_sparse,
+                KIND_LOW_RANK: _project_low_rank,
+                KIND_RANK_ONE_REAL: _project_low_rank,
+                KIND_HERM_SIG: _project_herm_sig}
+
+
+def _projection(w):
+    """The projection of :func:`project` onto ``w``'s kind as a function
+    ``(x, w)`` of one finite array of the ambient shape, with no argument
+    checks.
+
+    :func:`project` checks its argument and calls it; a loop that
+    projects many arrays looks it up once.  The ``herm_sig`` function
+    takes a Hermitian complex matrix and reads only its lower triangle
+    (``eigh``), so :func:`project` hermitizes its argument first.
+    """
+    try:
+        return _PROJECTIONS[w.kind]
+    except KeyError:
+        raise ValueError(f"no metric projection for kind {w.kind!r}") from None
 
 
 def membership(x, w, tol=1e-8):

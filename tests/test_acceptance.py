@@ -21,6 +21,7 @@ from varietyrec import (BUILTIN_11_MATRICES, CERTIFIED_EXACT,
                         real_pr_bounds, recover_phase, recover_sparse,
                         symmetric_sampler, tau, tau_inverse,
                         verify_kernel_minor_system)
+from varietyrec.refdata import PUBLISHED_EXACT
 
 
 def _report(number, label, ok, detail, started):
@@ -33,11 +34,10 @@ def _report(number, label, ok, detail, started):
 
 def test_criterion_1_bounds_reproduction():
     t0 = time.perf_counter()
-    ok = True
-    for d, want in ((5, 16), (6, 18), (7, 23), (9, 32), (15, 54), (2, 3)):
-        ok = ok and complex_pr_bounds(d).exact == want
-    ok = ok and real_pr_bounds(5).exact == 9
-    ok = ok and real_pr_bounds(6).exact == 10
+    ok = all(complex_pr_bounds(d).exact == want
+             for d, want in PUBLISHED_EXACT["complex_pr"].items())
+    ok = ok and all(real_pr_bounds(d).exact == want
+                    for d, want in PUBLISHED_EXACT["real_pr"].items())
     for d in range(5, 4099):
         rep = complex_pr_bounds(d)
         ok = ok and rep.lower <= rep.upper

@@ -19,9 +19,11 @@ from varietyrec import (CERTIFIED_EXACT, INCONCLUSIVE, NO_WITNESS_FOUND,
                         verify_kernel_minor_system, witness_search,
                         witness_to_collision)
 from varietyrec import injectivity
-from varietyrec.injectivity import (_kernel_basis, _minor_objective,
-                                    _minor_residual_and_grad, _sphere_descent,
-                                    _stacked_rows)
+from varietyrec.injectivity import (STOP_REASONS, _kernel_basis,
+                                    _minor_objective,
+                                    _minor_residual_and_grad, _search_space,
+                                    _sphere_descent, _stacked_rows)
+from varietyrec.sampling import derived_rng, tau
 
 
 def _basis_matrix(d, i, j):
@@ -214,6 +216,254 @@ def test_witness_is_fixed_point_of_both_projections():
     assert np.linalg.norm(apply(e, q).y) <= 1e-8 * res.scale
 
 
+# seeded certify cases of every search mode, with the status,
+# restarts_used and margin recorded from a search that laid complex
+# coordinates out in [Re; Im] blocks and read hermitian ones through
+# tau_inverse: the answers must not depend on how the coordinates are
+# laid out or read.  Each entry is ((source, d, m or ranks, field),
+# signal, restarts, max_iters, seed, status, restarts_used, margin); the
+# ensemble and the search share the seed
+_R, _N = REFUTED_WITH_WITNESS, NO_WITNESS_FOUND
+_LR_R, _LR_C = (VarietySpec.low_rank(4, 1, "real"),
+                VarietySpec.low_rank(4, 1, "complex"))
+_CORPUS = {
+    "low_rank_real_m10": (("matrices", 4, 10, "real"), _LR_R, 6, 300, 1,
+                          _R, 1, None),
+    "low_rank_real_m11": (("matrices", 4, 11, "real"), _LR_R, 6, 300, 2,
+                          _N, 6, 0.02361959309415452),
+    "low_rank_real_m11_first": (("matrices", 4, 11, "real"), _LR_R, 6, 300,
+                                5, _R, 1, None),
+    "low_rank_real_m11_second": (("matrices", 4, 11, "real"), _LR_R, 6,
+                                 300, 10, _R, 2, None),
+    "low_rank_real_m11_third": (("matrices", 4, 11, "real"), _LR_R, 6, 300,
+                                29, _R, 3, None),
+    "low_rank_real_m12": (("matrices", 4, 12, "real"), _LR_R, 6, 300, 3,
+                          _N, 6, 0.07418093493637548),
+    "low_rank_complex_m10": (("matrices", 4, 10, "complex"), _LR_C, 4, 300,
+                             1, _R, 1, None),
+    "low_rank_complex_m11": (("matrices", 4, 11, "complex"), _LR_C, 4, 300,
+                             2, _R, 1, None),
+    "low_rank_complex_m12": (("matrices", 4, 12, "complex"), _LR_C, 4, 300,
+                             3, _N, 4, 0.4424617235710381),
+    "low_rank_complex_m12_b": (("matrices", 4, 12, "complex"), _LR_C, 4,
+                               300, 4, _N, 4, 0.21905927357042304),
+    "sparse_real_m3": (("vectors", 8, 3, "real"), VarietySpec.sparse(8, 2),
+                       8, 300, 1, _R, 1, None),
+    "sparse_real_m4": (("vectors", 8, 4, "real"), VarietySpec.sparse(8, 2),
+                       8, 300, 2, _N, 8, 0.012335778738837884),
+    "sparse_real_m5": (("vectors", 8, 5, "real"), VarietySpec.sparse(8, 2),
+                       8, 300, 3, _N, 8, 0.04559462626225635),
+    "sparse_complex_m3": (("vectors", 8, 3, "complex"),
+                          VarietySpec.sparse(8, 2, "complex"), 8, 300, 4,
+                          _R, 1, None),
+    "sparse_complex_m5": (("vectors", 8, 5, "complex"),
+                          VarietySpec.sparse(8, 2, "complex"), 8, 300, 5,
+                          _N, 8, 0.5037912745329655),
+    "herm_sig_vectors_d3_m6": (("vectors", 3, 6, "complex"),
+                               VarietySpec.herm_sig(3), 4, 300, 1, _R, 1,
+                               None),
+    "herm_sig_vectors_d3_m8": (("vectors", 3, 8, "complex"),
+                               VarietySpec.herm_sig(3), 4, 300, 2, _N, 4,
+                               0.7880277334680098),
+    "herm_sig_vectors_d4_m10": (("vectors", 4, 10, "complex"),
+                                VarietySpec.herm_sig(4), 4, 300, 6, _R, 1,
+                                None),
+    "herm_sig_vectors_d4_m12": (("vectors", 4, 12, "complex"),
+                                VarietySpec.herm_sig(4), 4, 300, 9, _N, 4,
+                                0.9090754878067352),
+    "herm_sig_matrices_d2_m3": (("hermitian", 2, (2, 2, 2), None),
+                                VarietySpec.herm_sig(2), 4, 300, 3, _R, 1,
+                                None),
+    "herm_sig_matrices_d3_m7": (("hermitian", 3, (1, 2, 3, 1, 2, 3, 2), None),
+                                VarietySpec.herm_sig(3), 4, 300, 6, _R, 1,
+                                None),
+    "herm_sig_matrices_d3_m8": (("hermitian", 3, (1, 2, 3, 1, 2, 3, 2, 1),
+                                 None), VarietySpec.herm_sig(3), 4, 300, 8,
+                                _N, 4, 0.44692626837068883),
+    "rank_one_real_d3_m25": (("vectors", 3, 25, "real"),
+                             VarietySpec.rank_one_real(3), 3, 200, 1, _N, 3,
+                             2.5809718723117263),
+    "rank_one_real_d4_m26": (("vectors", 4, 26, "real"),
+                             VarietySpec.rank_one_real(4), 3, 200, 2, _N, 3,
+                             2.5256147680550116),
+    "rank_one_real_lifted_d3_m25": (("lifted", 3, 25, "real"),
+                                    VarietySpec.rank_one_real(3), 3, 200, 3,
+                                    _N, 3, 2.3568335066795645),
+}
+
+
+def _corpus_ensemble(source, seed):
+    kind, d, size, field = source
+    if kind == "matrices":
+        return gen_gaussian_matrices(d, size, field, seed=seed)
+    if kind == "hermitian":
+        return gen_hermitian_rank(d, size, seed=seed)
+    e = gen_gaussian_vectors(d, size, field, seed=seed)
+    return lift_ensemble(e) if kind == "lifted" else e
+
+
+@pytest.mark.parametrize("name", sorted(_CORPUS))
+def test_certify_answers_are_preserved(name):
+    (source, signal, restarts, max_iters, seed, status, used,
+     margin) = _CORPUS[name]
+    e = _corpus_ensemble(source, seed)
+    cfg = SearchConfig(restarts=restarts, max_iters=max_iters, seed=seed)
+    v = certify(e, signal, cfg)
+    assert (v.status, v.restarts_used) == (status, used)
+    if margin is None:
+        assert v.margin is None
+    else:
+        assert abs(v.margin - margin) <= 1e-9 * margin
+    if status == REFUTED_WITH_WITNESS:
+        lifted = e.shape == "vector" and signal.kind == "herm_sig"
+        e_search = lift_ensemble(e) if lifted else e
+        scale = _search_space(e_search, difference_closure(signal))[2]
+        assert v.witness.residual <= cfg.tol_feas * scale
+        x, y = v.collision
+        assert collision_residual(e, signal, x, y) <= 1e-12 * scale
+        assert collision_is_distinct(x, y, signal)
+
+
+def _block_start(e, w, seed, ridx):
+    """A restart's unit start in the [Re; Im] block layout, read as an
+    ambient array."""
+    mode = injectivity._variety_mode(w)
+    basis, _ = _kernel_basis(_stacked_rows(e, mode))
+    rng = derived_rng(seed, injectivity._STREAM_RESTART, ridx)
+    x = basis @ rng.standard_normal(basis.shape[1])
+    x = x / np.linalg.norm(x)
+    shape = w.ambient_shape()
+    if mode == "complex":
+        n = x.size // 2
+        return (x[:n] + 1j * x[n:]).reshape(shape)
+    if mode == "hermitian":
+        return tau(x.reshape(shape))
+    return x.reshape(shape)
+
+
+@pytest.mark.parametrize("e,w", [
+    (gen_gaussian_matrices(4, 12, "complex", seed=3),
+     VarietySpec.low_rank(4, 2, "complex")),
+    (gen_gaussian_vectors(8, 5, "complex", seed=5),
+     VarietySpec.sparse(8, 4, "complex")),
+    (gen_gaussian_matrices(4, 12, "real", seed=3),
+     VarietySpec.low_rank(4, 2, "real")),
+    (lift_ensemble(gen_gaussian_vectors(4, 12, "complex", seed=9)),
+     VarietySpec.herm_sig(4)),
+])
+def test_search_starts_are_the_block_layout_starts(monkeypatch, e, w):
+    # one iteration per restart: each projection input is a unit start
+    seen = []
+    kernel = injectivity._projection
+
+    def spy(w):
+        project_w = kernel(w)
+
+        def recorded(x, w):
+            seen.append(x.copy())
+            return project_w(x, w)
+        return recorded
+
+    monkeypatch.setattr(injectivity, "_projection", spy)
+    res = witness_search(e, w, SearchConfig(restarts=5, max_iters=1, seed=7))
+    assert res.witness is None and len(seen) == 5
+    for ridx, x in enumerate(seen):
+        np.testing.assert_allclose(x, _block_start(e, w, 7, ridx),
+                                   rtol=0, atol=1e-15)
+
+
+def test_search_coordinates_share_memory_with_the_ambient_array():
+    cases = [(gen_gaussian_matrices(4, 12, "complex", seed=3),
+              VarietySpec.low_rank(4, 2, "complex")),
+             (gen_gaussian_vectors(8, 5, "complex", seed=5),
+              VarietySpec.sparse(8, 4, "complex")),
+             (gen_gaussian_matrices(4, 12, "real", seed=3),
+              VarietySpec.low_rank(4, 2, "real"))]
+    rng = np.random.default_rng(0)
+    for e, w in cases:
+        rows, basis, _, ambient, coords = _search_space(e, w)
+        x = basis @ rng.standard_normal(basis.shape[1])
+        a = ambient(x)
+        assert a.shape == w.ambient_shape() and np.shares_memory(a, x)
+        assert coords(a) is not x and np.shares_memory(coords(a), x)
+        assert np.array_equal(coords(a), x)
+        # the complex view interleaves Re and Im of each entry
+        if w.field == "complex":
+            assert np.array_equal(x[0::2], a.real.ravel())
+            assert np.array_equal(x[1::2], a.imag.ravel())
+        # the rows read the samples off the coordinates
+        y = apply(e, a).y
+        want = np.stack([y.real, y.imag], axis=1).ravel()
+        if w.field == "real":
+            want = y.real
+        np.testing.assert_allclose(rows @ x, want, atol=1e-12)
+
+
+def test_search_realification_is_tau_bit_for_bit():
+    rng = np.random.default_rng(1)
+    for d in range(1, 7):
+        for _ in range(50):
+            a = rng.standard_normal((d, d)) * 10.0 ** rng.integers(-8, 9)
+            h = injectivity._hermitian(a)
+            assert h.dtype == np.complex128
+            assert np.array_equal(h, tau(a))
+            assert np.array_equal(h, h.conj().T)
+
+
+def test_search_stop_counts_sum_to_the_restarts_run():
+    cases = [(gen_gaussian_matrices(4, 11, "complex", seed=2),
+              VarietySpec.low_rank(4, 2, "complex"), SearchConfig()),
+             (gen_gaussian_matrices(4, 12, "complex", seed=3),
+              VarietySpec.low_rank(4, 2, "complex"),
+              SearchConfig(restarts=4, max_iters=300)),
+             (gen_gaussian_vectors(8, 4, "real", seed=2),
+              VarietySpec.sparse(8, 4), SearchConfig(restarts=6)),
+             (gen_gaussian_matrices(4, 12, "real", seed=3),
+              VarietySpec.low_rank(4, 2, "real"),
+              SearchConfig(restarts=3, max_iters=2)),
+             (gen_hermitian_rank(2, (2, 2, 2), seed=3),
+              VarietySpec.herm_sig(2), SearchConfig(restarts=4))]
+    seen = set()
+    for e, w, cfg in cases:
+        res = witness_search(e, w, cfg)
+        assert tuple(res.stops) == STOP_REASONS
+        assert sum(res.stops.values()) == res.restarts_used
+        assert res.stops["feasible"] == (res.witness is not None)
+        seen.update(k for k, n in res.stops.items() if n)
+    assert {"feasible", "fixed_point", "budget"} <= seen
+    # the projection onto 0-sparse vectors is zero: every restart stops
+    res = witness_search(gen_gaussian_vectors(4, 2, "real", seed=0),
+                         VarietySpec.sparse(4, 0), SearchConfig(restarts=3))
+    assert res.stops["zero_norm"] == 3 == res.restarts_used
+    assert res.margin == math.inf
+    ops = [_basis_matrix(2, i, j) for i in range(2) for j in range(2)]
+    res = witness_search(MeasurementEnsemble("real", "matrix", 2, ops),
+                         VarietySpec.low_rank(2, 1, "real"))
+    assert res.restarts_used == 0 and sum(res.stops.values()) == 0
+
+
+def test_search_refuses_non_finite_projection_input(monkeypatch):
+    e = gen_gaussian_matrices(4, 12, "complex", seed=3)
+    w = VarietySpec.low_rank(4, 2, "complex")
+    # a non-finite projection makes the next kernel step non-finite
+    monkeypatch.setattr(injectivity, "_projection",
+                        lambda w: lambda x, w: np.full_like(x, np.nan))
+    with pytest.raises(ValueError, match="non-finite input"):
+        witness_search(e, w, SearchConfig(restarts=2))
+    monkeypatch.undo()
+    # and a non-finite start is refused before the first projection
+    kernel_basis = injectivity._kernel_basis
+
+    def broken(rows):
+        basis, scale = kernel_basis(rows)
+        basis[0, 0] = np.inf
+        return basis, scale
+
+    monkeypatch.setattr(injectivity, "_kernel_basis", broken)
+    with pytest.raises(ValueError, match="non-finite input"):
+        witness_search(e, w, SearchConfig(restarts=2))
+
+
 # ---------------------------------------------------------------------------
 # certify dispatch
 # ---------------------------------------------------------------------------
@@ -322,8 +572,25 @@ def test_certify_rejects_mismatched_size():
 
 def test_certify_herm_sig_rejects_non_hermitian_operators():
     e = gen_gaussian_matrices(3, 6, "complex", seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="herm_sig search needs Hermitian operators"):
         certify(e, VarietySpec.herm_sig(3))
+    # the rule is relative to each operator's norm: one operator of a
+    # Hermitian ensemble moved off by 1e-9 or 1e-11 of its norm
+    ops = list(gen_hermitian_rank(3, (2,) * 6, seed=1).operators)
+    for rel, refused in ((1e-9, True), (1e-11, False)):
+        for scale in (1.0, 1e6):
+            moved = [op * scale for op in ops]
+            bump = np.zeros((3, 3), dtype=complex)
+            bump[0, 1] = rel * np.linalg.norm(moved[4])
+            moved[4] = moved[4] + bump
+            e = MeasurementEnsemble("complex", "matrix", 3, moved)
+            if refused:
+                with pytest.raises(ValueError, match="needs Hermitian"):
+                    witness_search(e, VarietySpec.herm_sig(3))
+            else:
+                witness_search(e, VarietySpec.herm_sig(3),
+                               SearchConfig(restarts=1, max_iters=5))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from varietyrec import (VarietySpec, dim_complex_symmetric, dim_low_rank,
                         dim_sparse, difference_closure, membership, project)
-from varietyrec.varieties import _norm
+from varietyrec.varieties import _norm, _projection, hermitize
 
 
 def test_dim_low_rank_values():
@@ -106,6 +106,93 @@ def test_project_rejects_non_finite():
                 y.flat[0] = bad
                 with pytest.raises(ValueError, match="non-finite"):
                     project(y, w)
+
+
+def test_project_rejects_wrong_shape():
+    for w in _PROJECTABLE:
+        d = w.d
+        for shape in ((d + 1,), (d, d + 1), (d, d, 1), (d * d,)):
+            if shape == w.ambient_shape():
+                continue
+            with pytest.raises(ValueError, match="does not match ambient"):
+                project(np.ones(shape), w)
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_projection_kernel_is_project_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for w in _PROJECTABLE + [VarietySpec.sparse(5, 0),
+                             VarietySpec.low_rank(3, 0, "complex"),
+                             VarietySpec.low_rank(3, 3, "real")]:
+        kernel = _projection(w)
+        for _ in range(40):
+            x = _random_point(rng, w)
+            if w.kind == "herm_sig":
+                # the kernel takes a Hermitian matrix; project hermitizes
+                assert _same(kernel(hermitize(x).astype(complex), w),
+                             project(x, w))
+                h = hermitize(x)
+                assert _same(kernel(h, w), project(h, w))
+            else:
+                assert _same(kernel(x, w), project(x, w))
+
+
+def test_projection_kernel_sparse_ties():
+    rng = np.random.default_rng(6)
+    for field in ("real", "complex"):
+        for _ in range(100):
+            d = int(rng.integers(1, 9))
+            w = VarietySpec.sparse(d, int(rng.integers(0, d + 1)), field)
+            # magnitudes from {0, 1, 2}: most draws tie across the cut
+            x = rng.integers(-2, 3, d).astype(float)
+            if field == "complex":
+                x = x * np.exp(1j * np.pi / 2 * rng.integers(0, 4, d))
+            out = _projection(w)(x, w)
+            assert _same(out, project(x, w))
+            # ties keep the lowest indices
+            keep = np.flatnonzero(out)
+            order = sorted(range(d), key=lambda i: (-abs(x[i]), i))
+            assert set(keep) <= set(order[:w.param])
+            assert np.array_equal(out[order[:w.param]], x[order[:w.param]])
+
+
+def test_projection_kernel_herm_sig_one_sided_spectrum():
+    rng = np.random.default_rng(7)
+    w = VarietySpec.herm_sig(4)
+    kernel = _projection(w)
+    for sign in (1.0, -1.0):
+        for _ in range(20):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            h = hermitize(sign * (g @ g.conj().T + 0.1 * np.eye(4)))
+            out = kernel(h, w)
+            assert _same(out, project(h, w))
+            vals = np.linalg.eigvalsh(h)
+            # only the extreme eigenvalue of the one sign is kept
+            kept = np.linalg.eigvalsh(hermitize(out))
+            top = vals[-1] if sign > 0 else vals[0]
+            assert np.isclose(np.abs(kept).max(), abs(top))
+            assert np.count_nonzero(np.abs(kept) > 1e-9 * abs(top)) == 1
+    assert _same(kernel(np.zeros((4, 4), dtype=complex), w),
+                 np.zeros((4, 4), dtype=complex))
+
+
+def test_projection_kernel_real_low_rank_reads_the_real_part():
+    rng = np.random.default_rng(8)
+    for w in (VarietySpec.low_rank(4, 2, "real"), VarietySpec.rank_one_real(4)):
+        for _ in range(20):
+            x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            out = _projection(w)(x, w)
+            assert out.dtype == np.float64
+            assert _same(out, project(x, w))
+            assert _same(out, project(x.real, w))
+
+
+def test_projection_kernel_refuses_kinds_without_projection():
+    with pytest.raises(ValueError, match="no metric projection"):
+        _projection(VarietySpec.sym_low_rank(3, 1))
 
 
 def _random_point(rng, w):
