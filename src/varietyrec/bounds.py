@@ -86,7 +86,8 @@ def lowrank_minimal(d, r, field="complex"):
     Complex: exactly ``4dr - 4r^2``, the dimension of the rank-2r
     difference variety.  Real: the same count suffices generically and is
     known tight when ``d = 2^kappa + r`` (kappa >= 0) or ``d = 2r + 1``;
-    elsewhere only the upper bound is claimed.
+    elsewhere the lower bound is ``2dr - r^2``, the dimension of the
+    signal set, which no injective linear map can lower.
     """
     d, r = int(d), int(r)
     if not 0 <= r or 2 * r > d:
@@ -120,7 +121,7 @@ def lowrank_minimal(d, r, field="complex"):
     notes.append("tightness of 4dr-4r^2 over the reals is open outside the exact families")
     return BoundsReport(
         setting="low_rank", params={"d": d, "r": r, "field": field},
-        lower=1, upper=threshold, exact=None,
+        lower=dim_low_rank(d, r), upper=threshold, exact=None,
         regime="real: generic upper bound only",
         notes=tuple(notes),
     )

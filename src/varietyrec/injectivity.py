@@ -24,12 +24,11 @@ import math
 
 import numpy as np
 
-from .sampling import (MeasurementEnsemble, apply, derived_rng, lift_ensemble,
-                       lift_rank_one)
+from .sampling import (MeasurementEnsemble, _gauss, _tau, apply, derived_rng,
+                       lift_ensemble, lift_rank_one)
 from .varieties import (KIND_HERM_SIG, KIND_LOW_RANK, KIND_RANK_ONE_REAL,
-                        KIND_SPARSE, SIGNAL_KINDS, _norm, _projection,
-                        difference_closure, equivalence_distance, hermitize,
-                        project)
+                        KIND_SPARSE, _norm, _projection, difference_closure,
+                        equivalence_distance, hermitize, is_hermitian, project)
 
 CERTIFIED_EXACT = "certified_exact"
 NO_WITNESS_FOUND = "no_witness_found"
@@ -281,8 +280,8 @@ def _stacked_rows(e, mode):
     its coordinates out in [Re; Im] blocks here (see :func:`_search_space`).
 
     The hermitian rows are those of the operators' Hermitian parts; an
-    operator further than 1e-10 of its Frobenius norm (or 1e-10, if the
-    norm is below 1) from its Hermitian part is refused.
+    operator that fails :func:`~varietyrec.varieties.is_hermitian` is
+    refused.
     """
     a = e.stack()
     m = len(a)
@@ -295,11 +294,9 @@ def _stacked_rows(e, mode):
                          np.concatenate([a.imag, -a.real], axis=1)],
                         axis=1).reshape(2 * m, -1)
     ops = a.reshape(m, e.d, e.d)
-    adj = ops.conj().transpose(0, 2, 1)
-    dev = np.abs(ops - adj).max(axis=(1, 2))
-    if (dev > 1e-10 * np.maximum(1.0, np.linalg.norm(ops, axis=(1, 2)))).any():
+    if not is_hermitian(ops).all():
         raise ValueError("herm_sig search needs Hermitian operators")
-    h = 0.5 * (ops + adj)
+    h = 0.5 * (ops + ops.conj().transpose(0, 2, 1))
     return (h.real + h.imag).reshape(m, -1)
 
 
@@ -320,14 +317,6 @@ def _finite_norm(x):
     if not math.isfinite(n):
         raise ValueError("non-finite input")
     return n
-
-
-def _hermitian(a):
-    """tau(a) for a real square matrix ``a``, without the checks of
-    :func:`~varietyrec.sampling.tau`: the products with (1 +- i)/2 only
-    halve, so each entry is rounded once, as in tau, and the result is
-    exactly Hermitian."""
-    return a * (0.5 + 0.5j) + a.T * (0.5 - 0.5j)
 
 
 def _search_space(e, w):
@@ -351,7 +340,7 @@ def _search_space(e, w):
     basis, scale = _kernel_basis(rows)
     shape = w.ambient_shape()
     if mode == "hermitian":
-        return (rows, basis, scale, lambda x: _hermitian(x.reshape(shape)),
+        return (rows, basis, scale, lambda x: _tau(x.reshape(shape)),
                 lambda q: (q.real + q.imag).reshape(-1))
     if mode == "complex":
         perm = np.arange(rows.shape[1]).reshape(2, -1).T.reshape(-1)
@@ -508,15 +497,13 @@ def witness_to_collision(q, signal):
         x = math.sqrt(lam_p) * vecs[:, ip]
         y = math.sqrt(lam_m) * vecs[:, im]
         return x, y
-    if signal.kind == KIND_RANK_ONE_REAL:
-        qr = np.real(q)
-        u, s, vh = np.linalg.svd(qr, full_matrices=False)
-        if s[0] == 0.0:
-            raise ValueError("zero witness")
-        uu = s[0] * u[:, 0]
-        vv = vh[0]
-        return 0.5 * (vv + 4.0 * uu), 0.5 * (vv - 4.0 * uu)
-    raise ValueError(f"{signal.kind} is not a signal variety")
+    # rank_one_real
+    u, s, vh = np.linalg.svd(np.real(q), full_matrices=False)
+    if s[0] == 0.0:
+        raise ValueError("zero witness")
+    uu = s[0] * u[:, 0]
+    vv = vh[0]
+    return 0.5 * (vv + 4.0 * uu), 0.5 * (vv - 4.0 * uu)
 
 
 def collision_residual(e, signal, x, y):
@@ -560,12 +547,11 @@ def _null_vector(rows, d):
 def _rank_one_vectors(e):
     """Extract frame vectors a_j from a symmetric PSD rank-one matrix
     ensemble, or None if any operator fails that description."""
+    ops = np.real(np.stack(e.operators))
+    if not is_hermitian(ops).all():
+        return None
     out = []
-    for op in e.operators:
-        a = np.real(op)
-        scale = max(1.0, float(np.linalg.norm(a)))
-        if np.max(np.abs(a - a.T)) > 1e-10 * scale:
-            return None
+    for a in ops:
         vals, vecs = np.linalg.eigh(a)
         lam = float(vals[-1])
         if lam < 0 or np.max(np.abs(vals[:-1])) > 1e-10 * max(lam, 1.0):
@@ -590,8 +576,6 @@ def certify(e, signal, cfg=None):
     and a collision pair.
     """
     cfg = cfg or SearchConfig()
-    if signal.kind not in SIGNAL_KINDS:
-        raise ValueError(f"{signal.kind} is not a signal variety")
     # the quadratic kinds read a vector ensemble through its rank-one lift
     quadratic = signal.kind in (KIND_HERM_SIG, KIND_RANK_ONE_REAL)
     if signal.d != e.d or (not quadratic and signal.ambient[0] != e.shape):
@@ -923,18 +907,11 @@ def admissibility_probe(variety_sampler, functional, n_samples, seed=0):
 def symmetric_sampler(d, field="complex"):
     """Sampler of random symmetric d x d matrices, ``G + G^T``."""
     def sample(rng):
-        g = rng.standard_normal((d, d))
-        if field == "complex":
-            g = g + 1j * rng.standard_normal((d, d))
+        g = _gauss(rng, (d, d), field)
         return g + g.T
     return sample
 
 
 def dense_sampler(d, field="complex"):
     """Sampler of unconstrained random d x d matrices."""
-    def sample(rng):
-        g = rng.standard_normal((d, d))
-        if field == "complex":
-            g = g + 1j * rng.standard_normal((d, d))
-        return g
-    return sample
+    return lambda rng: _gauss(rng, (d, d), field)

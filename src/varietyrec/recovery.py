@@ -15,8 +15,9 @@ import math
 
 import numpy as np
 
-from .sampling import (SampleVector, apply, derived_rng, gen_gaussian_matrices,
-                       gen_gaussian_vectors, lift_rank_one)
+from .sampling import (SampleVector, _gauss, apply, derived_rng,
+                       gen_gaussian_matrices, gen_gaussian_vectors,
+                       lift_rank_one)
 from .varieties import VarietySpec, _norm, equivalence_distance, project
 
 _STREAM_IHT = 30
@@ -164,10 +165,10 @@ def _iht(e, yv, project_fn, cfg):
         if ridx == 0:
             x = x0
         else:
+            # complex for every field: seeded restarts depend on the
+            # rounding of the complex division below
             rng = derived_rng(cfg.seed, _STREAM_IHT, ridx)
-            g = rng.standard_normal((d, d)).astype(complex)
-            if e.field != "real":
-                g = g + 1j * rng.standard_normal((d, d))
+            g = _gauss(rng, (d, d), e.field).astype(complex)
             x = project_fn(g / np.linalg.norm(g) * scale0)
         run_best = (residual(x), x)
         history = [run_best[0]]
@@ -312,9 +313,7 @@ def recover_phase(e, y, cfg=None, truth=None):
             x = np.linalg.eigh(np.tensordot(target, forms, 1))[1][:, -1]
         else:
             rng = derived_rng(cfg.seed, _STREAM_PHASE, ridx)
-            x = rng.standard_normal(e.d)
-            if e.field == "complex":
-                x = x + 1j * rng.standard_normal(e.d)
+            x = _gauss(rng, e.d, e.field)
         run = _gauss_newton_phase(forms, target, x, cfg, tol_abs)
         iters += run[2]
         if best is None or run[0] < best[0]:
@@ -344,10 +343,7 @@ def _sparse_trial(d, k, m, field, rng, cfg):
     e = gen_gaussian_vectors(d, m, field=field, seed=seed)
     x = np.zeros(d, dtype=np.float64 if field == "real" else np.complex128)
     support = rng.choice(d, size=k, replace=False)
-    vals = rng.standard_normal(k)
-    if field == "complex":
-        vals = vals + 1j * rng.standard_normal(k)
-    x[support] = vals
+    x[support] = _gauss(rng, k, field)
     out = recover_sparse(e, apply(e, x), k, cfg=cfg, truth=x)
     err = float(np.linalg.norm(out.estimate - x)) / max(np.linalg.norm(x), 1e-300)
     return out.converged and err < 1e-6
@@ -370,9 +366,7 @@ def _low_rank_trial(d, r, m, field, rng, cfg):
 def _phase_trial(d, m, field, rng, cfg):
     seed = int(rng.integers(2 ** 31))
     e = gen_gaussian_vectors(d, m, field=field, seed=seed)
-    x = rng.standard_normal(d)
-    if field == "complex":
-        x = x + 1j * rng.standard_normal(d)
+    x = _gauss(rng, d, field)
     y = np.abs(e.stack().conj() @ x) ** 2
     out = recover_phase(e, y, cfg=cfg, truth=x)
     err = (out.equivalence_distance or 0.0) / max(np.linalg.norm(x), 1e-300)

@@ -15,13 +15,13 @@ with the same seed extends an ensemble without changing its prefix.
 
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 
 from . import jsonio
-from .varieties import hermitize
+from .varieties import FIELDS, hermitize, is_hermitian
 
-_FIELDS = ("real", "complex")
 _SHAPES = ("vector", "matrix")
 
 # spawn-key stream tags, one per generator family
@@ -44,7 +44,8 @@ class MeasurementEnsemble:
 
     Treat instances as immutable: operator arrays are marked read-only at
     construction.  ``ranks`` records per-operator rank bounds (verified on
-    load); ``hermitian`` asserts A_j = A_j* exactly.
+    load); ``hermitian`` asserts max |A_j - A_j*| <= 1e-10 ||A_j||_F
+    (:func:`~varietyrec.varieties.is_hermitian`).
     """
 
     field: str
@@ -56,7 +57,7 @@ class MeasurementEnsemble:
     hermitian: bool = False
 
     def __post_init__(self):
-        if self.field not in _FIELDS:
+        if self.field not in FIELDS:
             raise ValueError(f"unknown field {self.field!r}")
         if self.shape not in _SHAPES:
             raise ValueError(f"unknown shape {self.shape!r}")
@@ -94,9 +95,8 @@ class MeasurementEnsemble:
         if self.hermitian:
             if self.shape != "matrix":
                 raise ValueError("hermitian flag only applies to matrix ensembles")
-            for a in ops:
-                if np.max(np.abs(a - a.conj().T)) > 1e-12:
-                    raise ValueError("hermitian-flagged operator is not Hermitian")
+            if not is_hermitian(np.stack(ops)).all():
+                raise ValueError("hermitian-flagged operator is not Hermitian")
         self._stack = None
         self._digest = None
 
@@ -190,16 +190,21 @@ def tau(a):
     a = np.asarray(a)
     if np.any(np.imag(a) != 0):
         raise ValueError("tau expects a real matrix")
-    a = a.real.astype(float)
-    sym = 0.5 * (a + a.T)
-    skew = 0.5 * (a - a.T)
-    return sym + 1j * skew
+    return _tau(a.real.astype(float))
 
 
-def tau_inverse(h, tol=1e-12):
-    """Inverse of :func:`tau` on Hermitian matrices: ``Re(h) + Im(h)``."""
+def _tau(a):
+    """:func:`tau` of a real square float matrix, without its checks: the
+    products with (1 +- i)/2 only halve, so each entry is rounded once and
+    the result is exactly Hermitian."""
+    return a * (0.5 + 0.5j) + a.T * (0.5 - 0.5j)
+
+
+def tau_inverse(h):
+    """Inverse of :func:`tau` on Hermitian matrices: ``Re(h) + Im(h)``.
+    Refuses a matrix that fails :func:`~varietyrec.varieties.is_hermitian`."""
     h = np.asarray(h)
-    if np.max(np.abs(h - h.conj().T)) > tol * max(1.0, float(np.linalg.norm(h))):
+    if not is_hermitian(h):
         raise ValueError("input is not Hermitian within tolerance")
     return np.real(h) + np.imag(h)
 
@@ -322,8 +327,6 @@ def save_ensemble(path, e):
 
 
 def load_ensemble(path):
-    import json
-
     with open(path) as fh:
         return ensemble_from_json(json.load(fh))
 
@@ -348,7 +351,5 @@ def save_samples(path, s):
 
 
 def load_samples(path):
-    import json
-
     with open(path) as fh:
         return samples_from_json(json.load(fh))

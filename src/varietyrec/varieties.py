@@ -1,13 +1,13 @@
 """Variety descriptors, dimension formulas, difference closures, projections.
 
-The constraint sets handled here are cones cut out by polynomial
-conditions: sparse vectors, bounded-rank matrices, bounded-rank complex
-symmetric matrices, Hermitian matrices of signature at most (1,1), and
-real rank-one matrices.  The last two double as their own difference
-cones: every difference of two rank-one Hermitian PSD lifts xx* - yy*
-has at most one positive and one negative eigenvalue, and every
-difference of real quadratic-form lifts is seen by symmetric operators
-through a single rank-one matrix (x-y)(x+y)^T / 4.
+The signal sets handled here are cones cut out by polynomial
+conditions: sparse vectors, bounded-rank matrices, Hermitian matrices
+of signature at most (1,1), and real rank-one matrices.  The last two
+double as their own difference cones: every difference of two rank-one
+Hermitian PSD lifts xx* - yy* has at most one positive and one negative
+eigenvalue, and every difference of real quadratic-form lifts is seen
+by symmetric operators through a single rank-one matrix
+(x-y)(x+y)^T / 4.
 
 All operations are pure functions; arrays are never mutated.
 """
@@ -19,17 +19,11 @@ import numpy as np
 
 KIND_SPARSE = "sparse"
 KIND_LOW_RANK = "low_rank"
-KIND_SYM_LOW_RANK = "sym_low_rank"
 KIND_HERM_SIG = "herm_sig"
 KIND_RANK_ONE_REAL = "rank_one_real"
 
-_KINDS = (KIND_SPARSE, KIND_LOW_RANK, KIND_SYM_LOW_RANK, KIND_HERM_SIG,
-          KIND_RANK_ONE_REAL)
-_FIELDS = ("real", "complex")
-
-# kinds usable as signal constraint sets (sym_low_rank only constrains
-# measurement operators)
-SIGNAL_KINDS = (KIND_SPARSE, KIND_LOW_RANK, KIND_HERM_SIG, KIND_RANK_ONE_REAL)
+_KINDS = (KIND_SPARSE, KIND_LOW_RANK, KIND_HERM_SIG, KIND_RANK_ONE_REAL)
+FIELDS = ("real", "complex")
 
 
 def dim_sparse(d, k):
@@ -58,12 +52,11 @@ def dim_complex_symmetric(d, r):
 
 @dataclasses.dataclass(frozen=True)
 class VarietySpec:
-    """Descriptor of a constraint set for signals or measurement operators.
+    """Descriptor of a signal set.
 
     Fields
     ------
-    kind : one of ``sparse``, ``low_rank``, ``sym_low_rank``, ``herm_sig``,
-        ``rank_one_real``
+    kind : one of ``sparse``, ``low_rank``, ``herm_sig``, ``rank_one_real``
     d : ambient size (vectors of length d, or d-by-d matrices)
     param : sparsity k or rank bound r; fixed to 2 for ``herm_sig`` and
         1 for ``rank_one_real``
@@ -78,7 +71,7 @@ class VarietySpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.field not in _FIELDS:
+        if self.field not in FIELDS:
             raise ValueError(f"unknown field {self.field!r}")
         if self.d < 1:
             raise ValueError("d must be positive")
@@ -100,10 +93,6 @@ class VarietySpec:
     @classmethod
     def low_rank(cls, d, r, field="complex"):
         return cls(KIND_LOW_RANK, int(d), int(r), field)
-
-    @classmethod
-    def sym_low_rank(cls, d, r, field="complex"):
-        return cls(KIND_SYM_LOW_RANK, int(d), int(r), field)
 
     @classmethod
     def herm_sig(cls, d):
@@ -128,24 +117,15 @@ class VarietySpec:
 
     def dimension(self):
         """Dimension of the variety (complex count for complex kinds;
-        the real locus has the same dimension for every kind here)."""
+        the real locus has the same dimension for every kind here); the
+        matrix kinds have the dimension of their rank bound."""
         if self.kind == KIND_SPARSE:
             return dim_sparse(self.d, self.param)
-        if self.kind == KIND_LOW_RANK:
-            return dim_low_rank(self.d, self.param)
-        if self.kind == KIND_SYM_LOW_RANK:
-            return dim_complex_symmetric(self.d, self.param)
-        if self.kind == KIND_HERM_SIG:
-            return dim_low_rank(self.d, min(2, self.d))
-        return dim_low_rank(self.d, min(1, self.d))  # rank_one_real
+        return dim_low_rank(self.d, self.param)
 
     def is_full_space(self):
-        """True when the constraint set fills its ambient space."""
-        if self.kind == KIND_SPARSE:
-            return self.param >= self.d
-        if self.kind == KIND_LOW_RANK:
-            return self.param >= self.d
-        return False
+        """True when the signal set fills its ambient space."""
+        return self.kind in (KIND_SPARSE, KIND_LOW_RANK) and self.param >= self.d
 
     # -- serialization ---------------------------------------------------
 
@@ -164,15 +144,9 @@ def difference_closure(w):
     Sparse sparsity doubles, rank bounds double (both clipped at d); the
     lifted phase-retrieval cones are already closed under differences.
     """
-    if w.kind == KIND_SPARSE:
-        return VarietySpec.sparse(w.d, min(2 * w.param, w.d), w.field)
-    if w.kind == KIND_LOW_RANK:
-        return VarietySpec.low_rank(w.d, min(2 * w.param, w.d), w.field)
-    if w.kind == KIND_HERM_SIG:
+    if w.kind in (KIND_HERM_SIG, KIND_RANK_ONE_REAL):
         return w
-    if w.kind == KIND_RANK_ONE_REAL:
-        return w
-    raise ValueError(f"{w.kind} is not a signal variety")
+    return dataclasses.replace(w, param=min(2 * w.param, w.d))
 
 
 def _check_shape(x, w):
@@ -198,6 +172,15 @@ def hermitize(x):
     twice gives the same bits as applying it once."""
     x = np.asarray(x)
     return 0.5 * (x + x.conj().T)
+
+
+def is_hermitian(a):
+    """Which matrices of ``a`` (shape (..., d, d)) are Hermitian, by the
+    rule every operator check uses: max |A - A*| <= 1e-10 ||A||_F.  The
+    rule is relative, so it means the same at every operator scale."""
+    a = np.asarray(a)
+    dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    return dev <= 1e-10 * np.linalg.norm(a, axis=(-2, -1))
 
 
 def project(x, w):
@@ -266,10 +249,7 @@ def _projection(w):
     takes a Hermitian complex matrix and reads only its lower triangle
     (``eigh``), so :func:`project` hermitizes its argument first.
     """
-    try:
-        return _PROJECTIONS[w.kind]
-    except KeyError:
-        raise ValueError(f"no metric projection for kind {w.kind!r}") from None
+    return _PROJECTIONS[w.kind]
 
 
 def membership(x, w, tol=1e-8):
@@ -292,17 +272,6 @@ def membership(x, w, tol=1e-8):
         mags = np.sort(np.abs(x))[::-1]
         return bool(mags[w.param] <= thresh)
 
-    if w.kind in (KIND_LOW_RANK, KIND_RANK_ONE_REAL, KIND_SYM_LOW_RANK):
-        if w.field == "real" and np.linalg.norm(np.imag(x)) > thresh:
-            return False
-        if w.kind == KIND_SYM_LOW_RANK and np.linalg.norm(x - x.T) > thresh:
-            return False
-        r = w.param
-        if r >= w.d:
-            return True
-        s = np.linalg.svd(x, compute_uv=False)
-        return bool(s[r] <= thresh)
-
     if w.kind == KIND_HERM_SIG:
         if np.linalg.norm(x - np.asarray(x).conj().T) > thresh:
             return False
@@ -311,7 +280,14 @@ def membership(x, w, tol=1e-8):
         n_neg = int(np.sum(vals < -thresh))
         return n_pos <= 1 and n_neg <= 1
 
-    raise ValueError(f"unknown kind {w.kind!r}")
+    # low_rank and rank_one_real
+    if w.field == "real" and np.linalg.norm(np.imag(x)) > thresh:
+        return False
+    r = w.param
+    if r >= w.d:
+        return True
+    s = np.linalg.svd(x, compute_uv=False)
+    return bool(s[r] <= thresh)
 
 
 def equivalence_distance(x, y, field="real"):

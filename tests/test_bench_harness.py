@@ -48,3 +48,10 @@ def test_bench_certify_exhaust_run_is_correct():
     operations, each checked, including the real_phase_d7_m13 frames the
     complement property certifies exactly."""
     assert _zero_second_run("certify-exhaust")["attempted"] >= 100
+
+
+def test_bench_recover_run_is_correct():
+    """A zero-second run of the recover workload: at least 100
+    recover_low_rank calls, each estimate checked against the drawn
+    truth."""
+    assert _zero_second_run("recover")["attempted"] >= 100

@@ -4,6 +4,7 @@ from varietyrec import (alpha, codim_bad_set, complex_pr_bounds,
                         difference_closure, dim_low_rank, generic_report,
                         lowrank_minimal, real_pr_bounds, sparse_minimal,
                         standard_pr_facts, VarietySpec)
+from varietyrec.cli import main
 
 
 def test_alpha_examples_and_brute_force():
@@ -53,6 +54,17 @@ def test_lowrank_minimal_real():
     assert any("11" in n for n in rep.notes)
     # d = 2^0 + r covers (2, 1)
     assert lowrank_minimal(2, 1, "real").exact == 4
+
+
+def test_lowrank_minimal_real_lower_is_the_signal_dimension():
+    # no injective linear map lowers the dimension 2dr - r^2 of the
+    # signal set, so that is a lower bound wherever no exact value is known
+    assert lowrank_minimal(4, 1, "real").lower == 7
+    for d in range(1, 9):
+        for r in range(d // 2 + 1):
+            rep = lowrank_minimal(d, r, "real")
+            assert dim_low_rank(d, r) <= rep.lower <= rep.upper
+    assert main(["bounds", "low_rank", "3", "0", "--field", "real"]) == 0
 
 
 def test_real_pr_values():

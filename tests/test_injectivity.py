@@ -18,12 +18,12 @@ from varietyrec import (CERTIFIED_EXACT, INCONCLUSIVE, NO_WITNESS_FOUND,
                         membership, minor_residual, symmetric_sampler,
                         verify_kernel_minor_system, witness_search,
                         witness_to_collision)
-from varietyrec import injectivity
+from varietyrec import injectivity, sampling
 from varietyrec.injectivity import (STOP_REASONS, _kernel_basis,
                                     _minor_objective,
                                     _minor_residual_and_grad, _search_space,
                                     _sphere_descent, _stacked_rows)
-from varietyrec.sampling import derived_rng, tau
+from varietyrec.sampling import derived_rng, tau, tau_inverse
 
 
 def _basis_matrix(d, i, j):
@@ -404,8 +404,10 @@ def test_search_realification_is_tau_bit_for_bit():
     for d in range(1, 7):
         for _ in range(50):
             a = rng.standard_normal((d, d)) * 10.0 ** rng.integers(-8, 9)
-            h = injectivity._hermitian(a)
+            h = sampling._tau(a)
             assert h.dtype == np.complex128
+            # tau written out: (a + a^T) / 2 + i (a - a^T) / 2
+            assert np.array_equal(h, 0.5 * (a + a.T) + 1j * (0.5 * (a - a.T)))
             assert np.array_equal(h, tau(a))
             assert np.array_equal(h, h.conj().T)
 
@@ -550,12 +552,6 @@ def test_certify_matches_complement_property_on_rank_one_lifts():
         assert (res.witness is None) == ok
 
 
-def test_certify_rejects_non_signal_variety():
-    e = gen_gaussian_matrices(3, 2, "complex", seed=0)
-    with pytest.raises(ValueError):
-        certify(e, VarietySpec.sym_low_rank(3, 1))
-
-
 def test_certify_rejects_mismatched_size():
     vectors = gen_gaussian_vectors(4, 7, "real", seed=0)
     cases = [(vectors, VarietySpec.rank_one_real(3)),
@@ -591,6 +587,45 @@ def test_certify_herm_sig_rejects_non_hermitian_operators():
             else:
                 witness_search(e, VarietySpec.herm_sig(3),
                                SearchConfig(restarts=1, max_iters=5))
+
+
+def _bumped(a, rel):
+    """``a`` with entry (0, 1) moved by ``rel`` times its Frobenius norm."""
+    out = np.array(a)
+    out[0, 1] += rel * np.linalg.norm(a)
+    return out
+
+
+def test_one_hermitian_rule_at_every_scale():
+    """The hermitian flag, the herm_sig search, rank-one frame extraction
+    and tau_inverse all accept an operator moved off Hermitian by 1e-12
+    of its norm and refuse one moved by 1e-9, at every operator scale."""
+    herm = gen_hermitian_rank(3, (2,) * 6, seed=1).operators
+    lifts = lift_ensemble(gen_gaussian_vectors(3, 6, "real", seed=1)).operators
+    for scale, rel in itertools.product((1e-8, 1.0, 1e8), (1e-12, 1e-9)):
+        h = [op * scale for op in herm]
+        s = [op * scale for op in lifts]
+        h[4], s[4] = _bumped(h[4], rel), _bumped(s[4], rel)
+        consumers = [
+            lambda: MeasurementEnsemble("complex", "matrix", 3, h,
+                                        hermitian=True),
+            lambda: MeasurementEnsemble("real", "matrix", 3, s,
+                                        hermitian=True),
+            lambda: witness_search(
+                MeasurementEnsemble("complex", "matrix", 3, h),
+                VarietySpec.herm_sig(3), SearchConfig(restarts=1, max_iters=5)),
+            lambda: tau_inverse(h[4])]
+        frame = injectivity._rank_one_vectors(
+            MeasurementEnsemble("real", "matrix", 3, s))
+        if rel < 1e-10:
+            for consume in consumers:
+                consume()
+            assert frame is not None
+        else:
+            for consume in consumers:
+                with pytest.raises(ValueError, match="Hermitian"):
+                    consume()
+            assert frame is None
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from varietyrec import (VarietySpec, dim_complex_symmetric, dim_low_rank,
-                        dim_sparse, difference_closure, membership, project)
-from varietyrec.varieties import _norm, _projection, hermitize
+                        dim_sparse, difference_closure, lift_rank_one,
+                        membership, project, witness_to_collision)
+from varietyrec.varieties import _KINDS, _norm, _projection, hermitize
 
 
 def test_dim_low_rank_values():
@@ -46,8 +47,6 @@ def test_difference_closure_mapping():
     assert difference_closure(hs) == hs
     ro = VarietySpec.rank_one_real(5)
     assert difference_closure(ro) == ro
-    with pytest.raises(ValueError):
-        difference_closure(VarietySpec.sym_low_rank(4, 2))
 
 
 def test_difference_closure_monotone():
@@ -190,11 +189,6 @@ def test_projection_kernel_real_low_rank_reads_the_real_part():
             assert _same(out, project(x.real, w))
 
 
-def test_projection_kernel_refuses_kinds_without_projection():
-    with pytest.raises(ValueError, match="no metric projection"):
-        _projection(VarietySpec.sym_low_rank(3, 1))
-
-
 def _random_point(rng, w):
     kind, d = w.ambient
     if kind == "vector":
@@ -229,6 +223,31 @@ def test_projection_idempotent_and_member():
         assert membership(p, w, 1e-8)
 
 
+def test_every_kind_is_a_signal_kind():
+    """Every kind has a difference closure and a projection onto it; the
+    projections are members, and a projected difference splits into two
+    signals whose difference (of lifts, for the quadratic kinds) is it."""
+    assert {w.kind for w in _PROJECTABLE} == set(_KINDS)
+    rng = np.random.default_rng(13)
+    for w in _PROJECTABLE:
+        dw = difference_closure(w)
+        for _ in range(10):
+            q = project(_random_point(rng, dw), dw)
+            assert membership(q, dw)
+            x, y = witness_to_collision(q, w)
+            if w.kind in ("herm_sig", "rank_one_real"):
+                x, y = lift_rank_one(x), lift_rank_one(y)
+                # rank_one_real splits q into lifts 4 (q + q^T) / 2 apart
+                q = hermitize(q) * (4.0 if w.kind == "rank_one_real" else 1.0)
+            assert membership(x, w) and membership(y, w)
+            np.testing.assert_allclose(x - y, q, atol=1e-12)
+    with pytest.raises(ValueError, match="unknown kind"):
+        VarietySpec("sym_low_rank", 4, 2, "complex")
+    with pytest.raises(ValueError, match="unknown kind"):
+        VarietySpec.from_json({"kind": "sym_low_rank", "d": 4, "k_or_r": 2,
+                               "field": "complex"})
+
+
 def test_eckart_young_optimality():
     rng = np.random.default_rng(11)
     for case in range(200):
@@ -260,7 +279,7 @@ def test_membership_herm_sig_signature():
 
 
 def test_spec_json_round_trip():
-    for w in _PROJECTABLE + [VarietySpec.sym_low_rank(4, 2)]:
+    for w in _PROJECTABLE:
         assert VarietySpec.from_json(w.to_json()) == w
 
 
