@@ -552,6 +552,14 @@ def test_certify_matches_complement_property_on_rank_one_lifts():
         assert (res.witness is None) == ok
 
 
+def test_certify_rejects_non_signal_variety():
+    # a kind with no signal set, such as the retired sym_low_rank, is
+    # refused by the spec before certify can run on it
+    e = gen_gaussian_matrices(3, 2, "complex", seed=0)
+    with pytest.raises(ValueError, match="unknown kind"):
+        certify(e, VarietySpec("sym_low_rank", 3, 1, "complex"))
+
+
 def test_certify_rejects_mismatched_size():
     vectors = gen_gaussian_vectors(4, 7, "real", seed=0)
     cases = [(vectors, VarietySpec.rank_one_real(3)),

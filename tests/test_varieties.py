@@ -189,6 +189,19 @@ def test_projection_kernel_real_low_rank_reads_the_real_part():
             assert _same(out, project(x.real, w))
 
 
+def test_projection_kernel_refuses_kinds_without_projection():
+    # every kind has a projection; a kind without one, such as the
+    # retired sym_low_rank, is refused by the spec before any lookup
+    for kind in _KINDS:
+        w = next(w for w in _PROJECTABLE if w.kind == kind)
+        assert callable(_projection(w))
+    with pytest.raises(ValueError, match="unknown kind"):
+        _projection(VarietySpec("sym_low_rank", 3, 1, "complex"))
+    with pytest.raises(ValueError, match="unknown kind"):
+        VarietySpec.from_json({"kind": "sym_low_rank", "d": 4, "k_or_r": 2,
+                               "field": "complex"})
+
+
 def _random_point(rng, w):
     kind, d = w.ambient
     if kind == "vector":
@@ -241,11 +254,6 @@ def test_every_kind_is_a_signal_kind():
                 q = hermitize(q) * (4.0 if w.kind == "rank_one_real" else 1.0)
             assert membership(x, w) and membership(y, w)
             np.testing.assert_allclose(x - y, q, atol=1e-12)
-    with pytest.raises(ValueError, match="unknown kind"):
-        VarietySpec("sym_low_rank", 4, 2, "complex")
-    with pytest.raises(ValueError, match="unknown kind"):
-        VarietySpec.from_json({"kind": "sym_low_rank", "d": 4, "k_or_r": 2,
-                               "field": "complex"})
 
 
 def test_eckart_young_optimality():
