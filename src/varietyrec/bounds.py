@@ -118,11 +118,14 @@ def lowrank_minimal(d, r, field="complex"):
             lower=threshold, upper=threshold, exact=threshold,
             regime=regime, notes=tuple(notes),
         )
-    notes.append("tightness of 4dr-4r^2 over the reals is open outside the exact families")
+    lower = dim_low_rank(d, r)
+    if lower < threshold:
+        notes.append("tightness of 4dr-4r^2 over the reals is open outside the exact families")
     return BoundsReport(
         setting="low_rank", params={"d": d, "r": r, "field": field},
-        lower=dim_low_rank(d, r), upper=threshold, exact=None,
-        regime="real: generic upper bound only",
+        lower=lower, upper=threshold,
+        exact=lower if lower == threshold else None,
+        regime="real: lower bound 2dr-r^2, generic upper bound 4dr-4r^2",
         notes=tuple(notes),
     )
 

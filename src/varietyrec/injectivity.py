@@ -61,6 +61,13 @@ _RESIDUAL_FLOOR = 1e-28
 STOP_REASONS = ("feasible", "fixed_point", "residual_floor", "zero_norm",
                 "budget", "hard_cap")
 
+# why the minor system's polish ended (MinorSystemResult.polish_stop): its
+# residual fell to _RESIDUAL_FLOOR; its tangent gradient vanished; no
+# backtracked step lowered the residual; a step lowered it by less than
+# 1e-13 of itself; it spent its 10 * max_iters steps
+POLISH_STOPS = ("residual_floor", "flat_gradient", "no_accepted_step",
+                "converged", "budget")
+
 
 @dataclasses.dataclass(frozen=True)
 class SearchConfig:
@@ -118,6 +125,11 @@ class MinorSystemResult:
     min_residual: float
     argmin: np.ndarray = None
     restarts: int = 0
+    # accepted steps of the polish, its stop (POLISH_STOPS), and the
+    # objective calls of the block descent and the polish together
+    polish_steps: int = 0
+    polish_stop: str = None
+    evaluations: int = 0
 
 
 @dataclasses.dataclass
@@ -821,6 +833,72 @@ def _sphere_descent(fg, t, max_iters):
     return t_out, f_out
 
 
+def _sphere_bfgs(fg, t, max_iters):
+    """Riemannian BFGS on the unit sphere from one unit row ``t`` (kdim,).
+
+    The tangent gradient is ``gr = g - (g.t) t``.  The first step, and
+    any step after a reset, is the gradient step of
+    :func:`_sphere_descent`, ``-min(1, 2f/|gr|^2) gr``; later steps go
+    along ``d = -P H gr``, with ``H`` the BFGS inverse-Hessian
+    approximation and ``P`` the tangent projection at ``t``, and reset to
+    the gradient step when ``d.gr >= 0``.  Each step backtracks from a
+    unit length (up to 60 halvings, sufficient decrease
+    ``1e-4 * eta * d.gr``) and retracts by normalizing.  The update uses
+    ``s`` and ``y`` projected onto the new tangent space, which
+    transports the old gradient by projection; it is skipped when
+    ``s.y <= 0``, and the first one scales ``H`` to ``(s.y)/(y.y) I``
+    (Huang, Gallivan and Absil, SIAM J. Optim. 2015).
+
+    Stops, in the order of ``POLISH_STOPS``: a residual at most
+    ``_RESIDUAL_FLOOR``, ``|gr|^2 <= 1e-36``, no accepted step, an
+    accepted step lowering ``f`` by less than ``1e-13 * f``, or
+    ``max_iters`` steps.  Returns the final row, its residual, the
+    accepted steps and the stop.
+    """
+    def tangent(v, at):
+        return v - (v @ at) * at
+
+    f, g = fg(t[None])
+    f, gr, h = f[0], tangent(g[0], t), None
+    for steps in range(max_iters + 1):
+        gn2 = gr @ gr
+        if f <= _RESIDUAL_FLOOR:
+            return t, f, steps, "residual_floor"
+        if gn2 <= 1e-36:
+            return t, f, steps, "flat_gradient"
+        if steps == max_iters:
+            return t, f, steps, "budget"
+        if h is not None:
+            d = tangent(-(h @ gr), t)
+            if d @ gr >= 0:
+                h = None
+        if h is None:
+            d = -min(1.0, 2.0 * f / gn2) * gr
+        slope, eta = 1e-4 * (d @ gr), 1.0
+        for _ in range(60):
+            t_new = t + eta * d
+            t_new /= math.sqrt(t_new @ t_new)
+            f_new, g_new = fg(t_new[None])
+            if f_new[0] <= f + eta * slope:
+                break
+            eta *= 0.5
+        else:
+            return t, f, steps, "no_accepted_step"
+        f_new, gr_new = f_new[0], tangent(g_new[0], t_new)
+        s, y = tangent(t_new - t, t_new), gr_new - tangent(gr, t_new)
+        sy = s @ y
+        if sy > 0:
+            if h is None:
+                h = (sy / (y @ y)) * np.eye(len(t))
+            hy = h @ y
+            h += ((sy + y @ hy) * np.outer(s, s) / sy
+                  - np.outer(hy, s) - np.outer(s, hy)) / sy
+        converged = f - f_new < 1e-13 * f
+        t, f, gr = t_new, f_new, gr_new
+        if converged:
+            return t, f, steps + 1, "converged"
+
+
 def _minor_objective(basis, d, r):
     """The rank-``r`` minor residual on kernel coordinates: maps a block
     ``t`` of shape (n, kdim) to the residuals (n,) of the d x d matrices
@@ -845,8 +923,14 @@ def verify_kernel_minor_system(e, restarts=500, max_iters=250, seed=0, r=2):
     Restart ``ridx`` starts from ``derived_rng(seed, 21, ridx)``; all
     restarts advance as one block, each row with its own Armijo step
     (see :func:`_sphere_descent`).  The best row (the first at the
-    lowest residual) is then polished alone for ``10 * max_iters`` more
-    steps.  A minimum indistinguishable from zero exhibits a
+    lowest residual) is then polished alone by Riemannian BFGS
+    (:func:`_sphere_bfgs`) for at most ``10 * max_iters`` steps, stopping
+    at ``_RESIDUAL_FLOOR``, at a vanishing tangent gradient, when no
+    backtracked step lowers the residual, when a step lowers it by less
+    than ``1e-13`` of itself, or at the budget; ``polish_steps``,
+    ``polish_stop`` and ``evaluations`` record it.  The result is the
+    lower of the best row and the polished row.  A minimum
+    indistinguishable from zero exhibits a
     bounded-rank kernel element; a clearly positive minimum is numerical
     evidence that the kernel meets the rank variety only at zero.
     Returns the sentinel ``(inf, None)`` when the kernel is trivial.
@@ -862,19 +946,26 @@ def verify_kernel_minor_system(e, restarts=500, max_iters=250, seed=0, r=2):
     kdim = basis.shape[1]
     if kdim == 0:
         return MinorSystemResult(min_residual=math.inf, argmin=None, restarts=0)
-    fg = _minor_objective(basis, e.d, r)
+    objective = _minor_objective(basis, e.d, r)
+    evaluations = 0
+
+    def fg(t):
+        nonlocal evaluations
+        evaluations += 1
+        return objective(t)
     starts = np.array([derived_rng(seed, _STREAM_MINOR, ridx)
                        .standard_normal(kdim) for ridx in range(restarts)])
     starts /= np.linalg.norm(starts, axis=1)[:, None]
     t, f = _sphere_descent(fg, starts, max_iters)
     best = int(np.argmin(f))
     best_f, best_t = f[best], t[best]
-    t, f = _sphere_descent(fg, best_t[None], 10 * max_iters)
-    if f[0] < best_f:
-        best_f, best_t = f[0], t[0]
+    t, f, steps, stop = _sphere_bfgs(fg, best_t, 10 * max_iters)
+    if f < best_f:
+        best_f, best_t = f, t
     argmin = (basis @ best_t).reshape(e.d, e.d)
     return MinorSystemResult(min_residual=float(best_f), argmin=argmin,
-                             restarts=restarts)
+                             restarts=restarts, polish_steps=steps,
+                             polish_stop=stop, evaluations=evaluations)
 
 
 # ---------------------------------------------------------------------------

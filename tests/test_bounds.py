@@ -67,6 +67,31 @@ def test_lowrank_minimal_real_lower_is_the_signal_dimension():
     assert main(["bounds", "low_rank", "3", "0", "--field", "real"]) == 0
 
 
+def test_lowrank_minimal_real_table():
+    # (r, lower, upper, exact) per d over the reals: exact wherever the
+    # two sides meet, and the regime names both sides outside the families
+    table = {
+        1: [(0, 0, 0, 0)],
+        2: [(0, 0, 0, 0), (1, 4, 4, 4)],
+        3: [(0, 0, 0, 0), (1, 8, 8, 8)],
+        4: [(0, 0, 0, 0), (1, 7, 12, None), (2, 16, 16, 16)],
+        5: [(0, 0, 0, 0), (1, 16, 16, 16), (2, 24, 24, 24)],
+        6: [(0, 0, 0, 0), (1, 11, 20, None), (2, 32, 32, 32),
+            (3, 27, 36, None)],
+        7: [(0, 0, 0, 0), (1, 13, 24, None), (2, 24, 40, None),
+            (3, 48, 48, 48)],
+        8: [(0, 0, 0, 0), (1, 15, 28, None), (2, 28, 48, None),
+            (3, 39, 60, None), (4, 64, 64, 64)],
+    }
+    for d, rows in table.items():
+        for r, lower, upper, exact in rows:
+            rep = lowrank_minimal(d, r, "real")
+            assert (rep.lower, rep.upper, rep.exact) == (lower, upper, exact)
+            if "exact family" not in rep.regime:
+                assert rep.regime == ("real: lower bound 2dr-r^2, "
+                                      "generic upper bound 4dr-4r^2"), (d, r)
+
+
 def test_real_pr_values():
     assert real_pr_bounds(5).exact == 9
     assert real_pr_bounds(6).exact == 10

@@ -19,10 +19,11 @@ from varietyrec import (CERTIFIED_EXACT, INCONCLUSIVE, NO_WITNESS_FOUND,
                         verify_kernel_minor_system, witness_search,
                         witness_to_collision)
 from varietyrec import injectivity, sampling
-from varietyrec.injectivity import (STOP_REASONS, _kernel_basis,
-                                    _minor_objective,
+from varietyrec.injectivity import (POLISH_STOPS, STOP_REASONS,
+                                    _kernel_basis, _minor_objective,
                                     _minor_residual_and_grad, _search_space,
-                                    _sphere_descent, _stacked_rows)
+                                    _sphere_bfgs, _sphere_descent,
+                                    _stacked_rows)
 from varietyrec.sampling import derived_rng, tau, tau_inverse
 
 
@@ -824,6 +825,102 @@ def test_sphere_descent_rows_are_independent(seed, near, far, noise,
         assert (abs(f[i] - f_i[0]) <= 1e-12 * f_i[0]
                 or max(f[i], f_i[0]) <= 1e-30), i
         assert np.max(np.abs(t[i] - t_i[0])) <= 1e-8, i
+
+
+def _planted_rank2(rng, m=5):
+    """Real 4x4 operators orthogonal to a unit rank-2 matrix ``p``."""
+    p = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 4))
+    p /= np.linalg.norm(p)
+    ops = [g - np.sum(g * p) * p for g in rng.standard_normal((m, 4, 4))]
+    return MeasurementEnsemble("real", "matrix", 4, ops), p
+
+
+def _counted(fg):
+    calls = []
+
+    def counted(t):
+        calls.append(len(t))
+        return fg(t)
+    return counted, calls
+
+
+def test_minor_polish_is_no_worse_than_gradient_descent():
+    # the quasi-Newton polish against the single-row gradient descent it
+    # replaced, both from the best row of the same block descent
+    cases = []
+    for s in range(10):
+        cases += [(builtin11_ensemble(), 2, 32, 20, s),
+                  (gen_gaussian_matrices(4, 11, "real", seed=s), 2, 32, 20, s),
+                  (gen_gaussian_matrices(4, 10, "real", seed=s), 2, 32, 20, s),
+                  (gen_gaussian_matrices(5, 12, "real", seed=s), 3, 1, 1, s),
+                  (gen_gaussian_matrices(5, 12, "real", seed=s), 3, 8, 10, s),
+                  (gen_gaussian_matrices(3, 5, "real", seed=s), 1, 8, 10, s),
+                  (_planted_rank2(np.random.default_rng(s))[0], 2, 40, 15, s)]
+    floor = injectivity._RESIDUAL_FLOOR
+    for i, (e, r, restarts, max_iters, seed) in enumerate(cases):
+        basis, _ = _kernel_basis(_stacked_rows(e, "real"))
+        fg, calls = _counted(_minor_objective(basis, e.d, r))
+        starts = np.array([derived_rng(seed, 21, j).standard_normal(
+            basis.shape[1]) for j in range(restarts)])
+        starts /= np.linalg.norm(starts, axis=1)[:, None]
+        t, f = _sphere_descent(fg, starts, max_iters)
+        best = t[np.argmin(f)]
+        calls.clear()
+        t_b, f_b, steps, stop = _sphere_bfgs(fg, best, 10 * max_iters)
+        assert len(calls) <= 40 and calls == [1] * len(calls), i
+        assert stop in POLISH_STOPS and steps <= 10 * max_iters, i
+        _, f_d = _sphere_descent(fg, best[None], 10 * max_iters)
+        assert (f_b <= f_d[0] * (1 + 1e-9)
+                or max(f_b, f_d[0]) <= floor), (i, f_b, f_d[0])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       noise=st.sampled_from([1e-8, 1e-6, 1e-4, 1e-2]),
+       max_iters=st.integers(0, 60))
+def test_sphere_bfgs_on_planted_kernels(seed, noise, max_iters):
+    # from next to a planted rank-2 kernel element the polish reaches the
+    # residual floor; from anywhere it returns a unit row no worse than
+    # its start
+    rng = np.random.default_rng(seed)
+    e, p = _planted_rank2(rng)
+    basis, _ = _kernel_basis(_stacked_rows(e, "real"))
+    kdim = basis.shape[1]
+    fg = _minor_objective(basis, 4, 2)
+    near = basis.T @ p.ravel() + noise * rng.standard_normal(kdim)
+    for start, planted in ((near, True), (rng.standard_normal(kdim), False)):
+        start /= np.linalg.norm(start)
+        f0 = fg(start[None])[0][0]
+        budget = 40 if planted else max_iters
+        t, f, steps, stop = _sphere_bfgs(fg, start, budget)
+        assert abs(np.linalg.norm(t) - 1.0) <= 1e-12
+        assert f <= f0 and f == fg(t[None])[0][0]
+        assert stop in POLISH_STOPS and steps <= budget
+        if planted:
+            assert f <= injectivity._RESIDUAL_FLOOR
+            assert stop == "residual_floor"
+
+
+def test_minor_system_polish_counters(monkeypatch):
+    calls = []
+
+    def counted(q, r):
+        calls.append(q.shape)
+        return _minor_residual_and_grad(q, r)
+
+    monkeypatch.setattr(injectivity, "_minor_residual_and_grad", counted)
+    e = builtin11_ensemble()
+    res = verify_kernel_minor_system(e, restarts=32, max_iters=20, seed=5)
+    assert res.evaluations == len(calls)  # block and polish calls
+    again = verify_kernel_minor_system(e, restarts=32, max_iters=20, seed=5)
+    counters = res.polish_steps, res.polish_stop, res.evaluations
+    assert counters == (again.polish_steps, again.polish_stop,
+                        again.evaluations)
+    assert res.polish_stop == "converged" and 0 < res.polish_steps <= 200
+    planted, _ = _planted_rank2(np.random.default_rng(0))
+    res = verify_kernel_minor_system(planted, restarts=40, max_iters=15)
+    assert res.polish_stop == "residual_floor"
+    assert res.min_residual <= injectivity._RESIDUAL_FLOOR
 
 
 def test_verify_kernel_minor_system_rejects_empty_budget():
