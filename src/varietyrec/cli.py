@@ -221,25 +221,20 @@ def cmd_generate(args):
 
 
 def cmd_certify(args):
-    if args.ensemble:
-        e = _load_named_ensemble(args.ensemble)
-    else:
-        if args.d is None or args.m is None:
-            raise ValueError("need --ensemble, or --d and --m to generate one")
-        variety_probe = args.variety or (f"low_rank:{args.d}:{args.r}"
-                                         if args.r is not None else None)
-        if variety_probe and variety_probe.startswith("sparse"):
-            e = gen_gaussian_vectors(args.d, args.m, args.field or "real",
-                                     seed=args.seed)
-        else:
-            e = gen_gaussian_matrices(args.d, args.m, args.field or "complex",
-                                      seed=args.seed)
+    e = _load_named_ensemble(args.ensemble) if args.ensemble else None
+    if e is None and (args.d is None or args.m is None):
+        raise ValueError("need --ensemble, or --d and --m to generate one")
+    d = args.d if e is None else e.d
     if args.variety:
-        signal = _parse_variety(args.variety, d=e.d, field=args.field)
+        signal = _parse_variety(args.variety, d=d, field=args.field)
     elif args.r is not None:
-        signal = VarietySpec.low_rank(e.d, args.r, args.field or "complex")
+        signal = VarietySpec.low_rank(d, args.r, args.field or "complex")
     else:
         raise ValueError("need --variety (or --r with a matrix ensemble)")
+    if e is None:
+        gen = (gen_gaussian_vectors if signal.ambient[0] == "vector"
+               else gen_gaussian_matrices)
+        e = gen(d, args.m, args.field or signal.field, seed=args.seed)
     cfg = SearchConfig(restarts=args.restarts, tol_feas=args.tol,
                        seed=args.seed)
     verdict = certify(e, signal, cfg)

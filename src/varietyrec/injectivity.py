@@ -305,10 +305,9 @@ def _stacked_rows(e, mode):
         return np.stack([np.concatenate([a.real, a.imag], axis=1),
                          np.concatenate([a.imag, -a.real], axis=1)],
                         axis=1).reshape(2 * m, -1)
-    ops = a.reshape(m, e.d, e.d)
-    if not is_hermitian(ops).all():
+    if not is_hermitian(e.operators).all():
         raise ValueError("herm_sig search needs Hermitian operators")
-    h = 0.5 * (ops + ops.conj().transpose(0, 2, 1))
+    h = hermitize(e.operators)
     return (h.real + h.imag).reshape(m, -1)
 
 
@@ -460,6 +459,8 @@ def witness_search(e, w, cfg=None):
             stop = "hard_cap" if budget >= hard_cap else "budget"
         if best_q is not None and best_res <= feas:
             stops["feasible"] += 1
+            if w.kind == KIND_HERM_SIG:
+                best_q = hermitize(best_q)
             wit = Witness(element=best_q, residual=best_res,
                           restart=ridx, iterations=iters)
             return SearchResult(witness=wit, margin=float(margin),
@@ -557,25 +558,23 @@ def _null_vector(rows, d):
 
 
 def _rank_one_vectors(e):
-    """Extract frame vectors a_j from a symmetric PSD rank-one matrix
-    ensemble, or None if any operator fails that description."""
-    ops = np.real(np.stack(e.operators))
-    if not is_hermitian(ops).all():
+    """Extract the frame, rows a_j, from a real symmetric PSD rank-one
+    matrix ensemble, or None if any operator fails that description."""
+    if not is_hermitian(e.operators).all():
         return None
-    out = []
-    for a in ops:
-        vals, vecs = np.linalg.eigh(a)
-        lam = float(vals[-1])
-        if lam < 0 or np.max(np.abs(vals[:-1])) > 1e-10 * max(lam, 1.0):
-            return None
-        out.append(math.sqrt(lam) * vecs[:, -1] if lam > 0 else np.zeros(e.d))
-    return out
+    vals, vecs = np.linalg.eigh(e.operators)
+    lam, rest = vals[:, -1], np.abs(vals[:, :-1]).T  # rest is empty at d = 1
+    if np.any(lam < 0) or np.any(rest > 1e-10 * np.maximum(lam, 1.0)):
+        return None
+    # a zero operator gives a +0.0 row, whatever the sign of its eigenvector
+    return np.where(lam[:, None] > 0, np.sqrt(lam)[:, None] * vecs[..., -1],
+                    0.0)
 
 
 def _symmetrized(e):
-    ops = [0.5 * (np.real(op) + np.real(op).T) for op in e.operators]
     return MeasurementEnsemble(field="real", shape="matrix", d=e.d,
-                               operators=ops, seed=e.seed, hermitian=True)
+                               operators=hermitize(e.operators), seed=e.seed,
+                               hermitian=True)
 
 
 def certify(e, signal, cfg=None):
@@ -598,10 +597,10 @@ def certify(e, signal, cfg=None):
     vectors = None
     e_search = e
     if signal.kind == KIND_RANK_ONE_REAL:
+        if e.field != "real":
+            raise ValueError("real quadratic sampling needs a real ensemble")
         if e.shape == "vector":
-            if e.field != "real":
-                raise ValueError("real quadratic sampling needs real vectors")
-            vectors = [np.real(a) for a in e.operators]
+            vectors = e.operators
             e_search = lift_ensemble(e)
         else:
             vectors = _rank_one_vectors(e)
@@ -628,11 +627,10 @@ def certify(e, signal, cfg=None):
         ok, subset = complement_property(vectors)
         if ok:
             return InjectivityVerdict(status=CERTIFIED_EXACT, tolerances=tols)
-        frame = np.stack(vectors)
         held = set(subset)
         comp = tuple(j for j in range(e.m) if j not in held)
-        u = _null_vector(frame[list(subset)], e.d)
-        v = _null_vector(frame[list(comp)], e.d)
+        u = _null_vector(vectors[list(subset)], e.d)
+        v = _null_vector(vectors[list(comp)], e.d)
         q = np.outer(u, v)
         q = q / np.linalg.norm(q)
         res = float(np.linalg.norm(apply(e_search, q).y))

@@ -18,7 +18,8 @@ import numpy as np
 from .sampling import (SampleVector, _gauss, apply, derived_rng,
                        gen_gaussian_matrices, gen_gaussian_vectors,
                        lift_rank_one)
-from .varieties import VarietySpec, _norm, equivalence_distance, project
+from .varieties import (VarietySpec, _norm, equivalence_distance, hermitize,
+                        project)
 
 _STREAM_IHT = 30
 _STREAM_PHASE = 31
@@ -230,11 +231,9 @@ def _quadratic_forms(e, yv):
     ``Im y_j``; the skew forms are kept only where some ``K_j`` is nonzero
     and the signal is complex (a real x has ``x^T K_j x = 0``).
     """
-    ops = np.stack([lift_rank_one(a) for a in e.operators]
-                   if e.shape == "vector" else e.operators)
-    adj = ops.conj().transpose(0, 2, 1)
-    forms, target = 0.5 * (ops + adj), yv.real
-    skew = -0.5j * (ops - adj)
+    ops = lift_rank_one(e.operators) if e.shape == "vector" else e.operators
+    forms, target = hermitize(ops), yv.real
+    skew = -0.5j * (ops - ops.conj().swapaxes(-1, -2))
     if e.field == "complex" and np.any(skew):
         forms = np.concatenate([forms, skew])
         target = np.concatenate([target, yv.imag])

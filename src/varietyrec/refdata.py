@@ -52,9 +52,8 @@ def data_digest():
 
 def builtin11_ensemble():
     """The 11-matrix ensemble as a real measurement ensemble."""
-    ops = [np.array(mat, dtype=float) for mat in BUILTIN_11_MATRICES]
     return MeasurementEnsemble(field="real", shape="matrix", d=4,
-                               operators=ops)
+                               operators=BUILTIN_11_MATRICES)
 
 
 def corner_skew(d):

@@ -40,10 +40,12 @@ def derived_rng(seed, *key):
 
 @dataclasses.dataclass
 class MeasurementEnsemble:
-    """Ordered list of sampling operators over a common field and shape.
+    """Sampling operators over a common field and shape, held as one
+    read-only array of shape (m, d) or (m, d, d): row j is operator j.
 
-    Treat instances as immutable: operator arrays are marked read-only at
-    construction.  ``ranks`` records per-operator rank bounds (verified on
+    Treat instances as immutable: ``operators`` is built, checked and
+    marked read-only once at construction, and :meth:`stack` is a view
+    of it.  ``ranks`` records per-operator rank bounds (verified on
     load); ``hermitian`` asserts max |A_j - A_j*| <= 1e-10 ||A_j||_F
     (:func:`~varietyrec.varieties.is_hermitian`).
     """
@@ -51,7 +53,7 @@ class MeasurementEnsemble:
     field: str
     shape: str
     d: int
-    operators: list
+    operators: np.ndarray
     ranks: list = None
     seed: int = None
     hermitian: bool = False
@@ -63,22 +65,23 @@ class MeasurementEnsemble:
             raise ValueError(f"unknown shape {self.shape!r}")
         if self.d < 1:
             raise ValueError("d must be positive")
-        if not self.operators:
-            raise ValueError("need at least one operator")
         want = (self.d,) if self.shape == "vector" else (self.d, self.d)
-        dtype = np.float64 if self.field == "real" else np.complex128
-        ops = []
-        for a in self.operators:
-            a = np.asarray(a)
-            if self.field == "real" and np.any(np.imag(a) != 0):
-                raise ValueError("real ensemble with nonzero imaginary parts")
-            a = np.array(a.real if self.field == "real" else a, dtype=dtype)
+        ops = [np.asarray(a) for a in self.operators]
+        if not ops:
+            raise ValueError("need at least one operator")
+        for a in ops:
             if a.shape != want:
                 raise ValueError(f"operator shape {a.shape}, expected {want}")
-            if not np.isfinite(a).all():
-                raise ValueError("non-finite operator entries")
-            a.setflags(write=False)
-            ops.append(a)
+        ops = np.stack(ops)
+        if self.field == "real":
+            if np.any(np.imag(ops) != 0):
+                raise ValueError("real ensemble with nonzero imaginary parts")
+            ops = np.ascontiguousarray(ops.real, dtype=np.float64)
+        else:
+            ops = ops.astype(np.complex128, copy=False)
+        if not np.isfinite(ops).all():
+            raise ValueError("non-finite operator entries")
+        ops.setflags(write=False)
         self.operators = ops
         if self.ranks is not None:
             self.ranks = [int(r) for r in self.ranks]
@@ -86,18 +89,17 @@ class MeasurementEnsemble:
                 raise ValueError("ranks length mismatch")
             if self.shape != "matrix":
                 raise ValueError("ranks only apply to matrix ensembles")
-            for a, r in zip(ops, self.ranks):
+            s = np.linalg.svd(ops, compute_uv=False)
+            for r, sj in zip(self.ranks, s):
                 if not 0 <= r <= self.d:
                     raise ValueError(f"rank bound {r} out of range")
-                s = np.linalg.svd(a, compute_uv=False)
-                if r < self.d and s[r] > 1e-8 * max(s[0], 1e-300):
+                if r < self.d and sj[r] > 1e-8 * max(sj[0], 1e-300):
                     raise ValueError("operator violates its declared rank bound")
         if self.hermitian:
             if self.shape != "matrix":
                 raise ValueError("hermitian flag only applies to matrix ensembles")
-            if not is_hermitian(np.stack(ops)).all():
+            if not is_hermitian(ops).all():
                 raise ValueError("hermitian-flagged operator is not Hermitian")
-        self._stack = None
         self._digest = None
 
     @property
@@ -105,10 +107,8 @@ class MeasurementEnsemble:
         return len(self.operators)
 
     def stack(self):
-        """Operators flattened into an (m, n) array, row j = vec(A_j)."""
-        if self._stack is None:
-            self._stack = np.stack([a.ravel() for a in self.operators])
-        return self._stack
+        """Operators flattened into an (m, n) view, row j = vec(A_j)."""
+        return self.operators.reshape(self.m, -1)
 
     @property
     def digest(self):
@@ -148,7 +148,7 @@ def apply(e, x):
     ``y_j = Tr(A_j x*)``.  Raises on shape mismatch.
     """
     x = np.asarray(x)
-    want = (e.d,) if e.shape == "vector" else (e.d, e.d)
+    want = e.operators.shape[1:]
     if x.shape != want:
         raise ValueError(f"signal shape {x.shape}, expected {want}")
     if e.shape == "vector":
@@ -159,13 +159,14 @@ def apply(e, x):
 
 
 def lift_rank_one(a):
-    """Rank-one Hermitian PSD lift ``a a*`` of a vector.
+    """Rank-one Hermitian PSD lift ``a a*`` of a vector, or of each vector
+    along the last axis of a stack (shape (..., d) to (..., d, d)).
 
     The outer product is hermitized once, which is exact in floating
     point, so the returned matrix satisfies A = A* to the last bit.
     """
     a = np.asarray(a)
-    h = np.outer(a, a.conj())
+    h = a[..., :, None] * a.conj()[..., None, :]
     if np.iscomplexobj(h):
         h = hermitize(h)
     return h
@@ -175,10 +176,9 @@ def lift_ensemble(e):
     """Matrix ensemble of rank-one lifts of a vector ensemble's rows."""
     if e.shape != "vector":
         raise ValueError("lift_ensemble expects a vector ensemble")
-    ops = [lift_rank_one(a) for a in e.operators]
     return MeasurementEnsemble(field=e.field, shape="matrix", d=e.d,
-                               operators=ops, ranks=[1] * e.m, seed=e.seed,
-                               hermitian=True)
+                               operators=lift_rank_one(e.operators),
+                               ranks=[1] * e.m, seed=e.seed, hermitian=True)
 
 
 def tau(a):

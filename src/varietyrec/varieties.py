@@ -168,10 +168,12 @@ def _norm(x):
 
 
 def hermitize(x):
-    """Hermitian part ``(x + x*) / 2`` of a square matrix; applying it
-    twice gives the same bits as applying it once."""
+    """Hermitian part ``(x + x*) / 2`` of a square matrix, or of each
+    matrix of a stack (shape (..., d, d)).  The result is Hermitian to
+    the last bit, and applying it twice gives the same bits as applying
+    it once."""
     x = np.asarray(x)
-    return 0.5 * (x + x.conj().T)
+    return 0.5 * (x + x.conj().swapaxes(-1, -2))
 
 
 def is_hermitian(a):
@@ -189,14 +191,15 @@ def project(x, w):
     Sparse: keep the ``k`` largest-magnitude entries, ties broken by
     lowest index.  low_rank / rank_one_real: truncated SVD with singular
     values in descending order.  herm_sig: hermitize, then keep the
-    single largest positive and single most-negative eigenvalue.
+    single largest positive and single most-negative eigenvalue; the
+    result is Hermitian to the last bit.
     """
     x = np.asarray(x)
     if not np.isfinite(x).all():
         raise ValueError("non-finite input")
     _check_shape(x, w)
     if w.kind == KIND_HERM_SIG:
-        x = hermitize(x).astype(complex)
+        return hermitize(_project_herm_sig(hermitize(x).astype(complex), w))
     return _projection(w)(x, w)
 
 
@@ -246,8 +249,9 @@ def _projection(w):
 
     :func:`project` checks its argument and calls it; a loop that
     projects many arrays looks it up once.  The ``herm_sig`` function
-    takes a Hermitian complex matrix and reads only its lower triangle
-    (``eigh``), so :func:`project` hermitizes its argument first.
+    takes a Hermitian complex matrix, reads only its lower triangle
+    (``eigh``) and returns one that is Hermitian only to rounding, so
+    :func:`project` hermitizes its argument before and its result after.
     """
     return _PROJECTIONS[w.kind]
 

@@ -74,6 +74,25 @@ def test_certify_generated_threshold(capsys):
     assert doc["collision"] is not None
 
 
+def test_certify_generates_from_the_variety(capsys, monkeypatch):
+    seen = []
+    run_certify = cli.certify
+    monkeypatch.setattr(cli, "certify", lambda e, *rest:
+                        seen.append(e) or run_certify(e, *rest))
+    code, _ = _run(capsys, "certify", "--d", "3", "--m", "5", "--variety",
+                   "rank_one_real:3", "--restarts", "20")
+    assert code == 0
+    # rank_one_real draws real matrices: the real parts of the complex
+    # draws of the same seed
+    assert (seen[0].field, seen[0].shape) == ("real", "matrix")
+    complex_draws = cli.gen_gaussian_matrices(3, 5, "complex", seed=0)
+    assert np.array_equal(seen[0].operators, complex_draws.operators.real)
+    # an explicit complex field is refused, not read through its real part
+    code, _ = _run(capsys, "certify", "--d", "3", "--m", "5", "--variety",
+                   "rank_one_real:3", "--field", "complex")
+    assert code == 2
+
+
 def test_recover_roundtrip(capsys, tmp_path):
     epath, ypath = tmp_path / "e.json", tmp_path / "y.json"
     code, _ = _run(capsys, "generate", "--kind", "gaussian", "--d", "4",

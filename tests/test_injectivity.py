@@ -575,6 +575,27 @@ def test_certify_rejects_mismatched_size():
             certify(e, signal)
 
 
+def test_certify_rank_one_real_refuses_complex_ensembles():
+    # the real quadratic lift reads real operators; taking the real part
+    # of complex ones certified a different map (this ensemble was
+    # refuted by a pair whose samples differ by 9.6)
+    for e in (gen_gaussian_matrices(3, 3, "complex", seed=1),
+              lift_ensemble(gen_gaussian_vectors(3, 5, "complex", seed=1)),
+              gen_gaussian_vectors(3, 5, "complex", seed=1)):
+        with pytest.raises(ValueError, match="needs a real ensemble"):
+            certify(e, VarietySpec.rank_one_real(3))
+
+
+def test_herm_sig_witnesses_are_exactly_hermitian():
+    for seed in range(1, 6):
+        e = gen_gaussian_vectors(5, 8, "complex", seed=seed)
+        verdict = certify(e, VarietySpec.herm_sig(5),
+                          SearchConfig(restarts=20, seed=seed))
+        assert verdict.status == REFUTED_WITH_WITNESS
+        q = verdict.witness.element
+        assert np.array_equal(q, q.conj().T)
+
+
 def test_certify_herm_sig_rejects_non_hermitian_operators():
     e = gen_gaussian_matrices(3, 6, "complex", seed=0)
     with pytest.raises(ValueError,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from varietyrec import (MeasurementEnsemble, apply, builtin11_ensemble,
                         derived_rng, ensemble_from_json, ensemble_to_json,
@@ -7,6 +8,7 @@ from varietyrec import (MeasurementEnsemble, apply, builtin11_ensemble,
                         gen_hermitian_rank, gen_symmetric_rank, jsonio,
                         lift_ensemble, lift_rank_one, samples_to_json, tau,
                         tau_inverse)
+from varietyrec.varieties import hermitize
 
 
 def _basis_matrix(d, i, j):
@@ -186,6 +188,54 @@ def test_lift_ensemble():
     direct = np.abs(e.stack().conj() @ x) ** 2
     lifted = apply(le, lift_rank_one(x)).y
     assert np.allclose(direct, lifted.real)
+
+
+def test_operators_are_one_read_only_array():
+    e = gen_gaussian_matrices(3, 4, "complex", seed=2)
+    assert isinstance(e.operators, np.ndarray)
+    assert e.operators.shape == (4, 3, 3)
+    with pytest.raises(ValueError):
+        e.operators[0] = np.eye(3)
+    with pytest.raises(AttributeError):
+        e.operators.append(np.eye(3))
+    assert np.shares_memory(e.stack(), e.operators)
+    assert e.m == 4 and len(apply(e, np.eye(3)).y) == 4
+    assert ensemble_to_json(e)["m"] == len(ensemble_to_json(e)["operators"])
+    # the caller's array is copied, not frozen or aliased
+    ops = np.ones((2, 3))
+    v = MeasurementEnsemble("real", "vector", 3, ops)
+    assert ops.flags.writeable and not np.shares_memory(v.operators, ops)
+
+
+def _draw_stack(data, shape, field):
+    n = int(np.prod(shape))
+    elems = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    parts = [np.array(data.draw(st.lists(elems, min_size=n, max_size=n)))
+             for _ in range(1 if field == "real" else 2)]
+    x = parts[0] if field == "real" else parts[0] + 1j * parts[1]
+    return x.reshape(shape)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=st.integers(1, 6), m=st.integers(1, 8),
+       field=st.sampled_from(("real", "complex")), data=st.data())
+def test_stack_lift_and_hermitize_match_per_item(d, m, field, data):
+    a = _draw_stack(data, (m, d), field)
+    lifts = lift_rank_one(a)
+    assert lifts.shape == (m, d, d)
+    for j in range(m):
+        ref = np.outer(a[j], a[j].conj())
+        if field == "complex":
+            ref = 0.5 * (ref + ref.conj().T)
+        assert lifts.dtype == ref.dtype and np.array_equal(lifts[j], ref)
+        assert np.array_equal(lift_rank_one(a[j]), ref)
+    mats = _draw_stack(data, (m, d, d), field)
+    herm = hermitize(mats)
+    for j in range(m):
+        ref = 0.5 * (mats[j] + mats[j].conj().T)
+        assert np.array_equal(herm[j], ref)
+        assert np.array_equal(hermitize(mats[j]), ref)
+        assert np.array_equal(herm[j], herm[j].conj().T)
 
 
 def test_ensemble_json_round_trip():
