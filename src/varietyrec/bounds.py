@@ -4,7 +4,8 @@ Every function returns a :class:`BoundsReport` carrying a lower bound,
 an upper bound, an exact value when one is known, and a ``regime`` tag
 naming the formula family that produced it.  When no formula covers a
 parameter range, the report says so instead of extrapolating: the lower
-bound defaults to 1 with an explanatory note.
+bound falls back to the dimension of the signal set, which no injective
+linear map can go below, with an explanatory note.
 """
 
 import dataclasses
@@ -136,7 +137,9 @@ def real_pr_bounds(d):
     Upper bound 2d-1 (odd d) or 2d-2 (even d); exact at d = 2^k + 1 and
     d = 2^k + 2 (k >= 1); for d >= 5 a binary-expansion lower bound of
     2d - 6*floor(log2(d-1)) + 6 (odd) or 2d - 6*floor(log2(d-2)) + 4
-    (even) applies.  Below d = 5 no lower-bound formula is claimed.
+    (even) applies.  The lower bound is never below d, the dimension of
+    the signal set {xx^T}, and is all that is claimed below d = 5; when
+    it meets the upper bound, that is the exact value.
     """
     d = int(d)
     if d < 2:
@@ -154,17 +157,17 @@ def real_pr_bounds(d):
         regime = "exact family d=2^k+2 (2d-2)"
 
     notes = []
+    lower = d
     if d >= 5:
         if odd:
-            lower = 2 * d - 6 * ((d - 1).bit_length() - 1) + 6
+            lower = max(lower, 2 * d - 6 * ((d - 1).bit_length() - 1) + 6)
         else:
-            lower = 2 * d - 6 * ((d - 2).bit_length() - 1) + 4
-        lower = max(lower, 1)
+            lower = max(lower, 2 * d - 6 * ((d - 2).bit_length() - 1) + 4)
     else:
-        lower = 1
-        notes.append("no lower-bound formula in this regime (needs d >= 5)")
-    if exact is not None:
-        lower = min(lower, exact)
+        notes.append("lower bound d, the dimension of the signal set "
+                     "(the binary-expansion formula needs d >= 5)")
+    if exact is None and lower == upper:
+        exact = lower
     return BoundsReport(
         setting="real_pr", params={"d": d},
         lower=lower, upper=upper, exact=exact, regime=regime,
@@ -196,7 +199,8 @@ def complex_pr_bounds(d):
     odd and a = 3 mod 4, 1 when d is odd and a = 2 mod 4, else 0) and
     ``delta`` 0 for odd d, 1 for even d.  Four binary families pin the
     exact value.  For d in {3, 4} the interval formulas do not apply and
-    only the generic range [1, 4d-4] is reported.
+    only the range [2d-1, 4d-4] is reported: no injective map has fewer
+    samples than the real dimension 2d-1 of the signal set {xx*}.
     """
     d = int(d)
     if d < 2:
@@ -209,9 +213,9 @@ def complex_pr_bounds(d):
     if d <= 4:
         return BoundsReport(
             setting="complex_pr", params={"d": d},
-            lower=1, upper=4 * d - 4, exact=None,
+            lower=2 * d - 1, upper=4 * d - 4, exact=None,
             regime="generic interval only (formulas need d > 4)",
-            notes=("no lower-bound formula in this regime",),
+            notes=("lower bound 2d-1, the real dimension of the signal set",),
         )
     a = alpha(d - 1)
     odd = d % 2 == 1

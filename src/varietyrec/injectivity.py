@@ -481,23 +481,17 @@ def witness_to_collision(q, signal):
     """Split a difference-variety witness into two signal-variety members
     with identical samples.
 
-    sparse: support split into two halves of size <= k.  low_rank: SVD
-    split, leading <= r triples versus the negated remainder.  herm_sig:
-    x, y from the signed eigenpairs.  rank_one_real: with q = u v^T,
-    solve x - y = 4u, x + y = v.
+    sparse and low_rank: x is the projection of q onto the signal
+    variety (its k largest entries, or its leading r singular triples)
+    and y = x - q is the negated remainder, a member too because q lies
+    in the difference variety.  herm_sig: x, y from the signed
+    eigenpairs.  rank_one_real: with q = u v^T, solve x - y = 4u,
+    x + y = v.  A zero q raises ``ValueError``.
     """
     q = np.asarray(q)
-    if signal.kind == KIND_SPARSE:
-        idx = np.flatnonzero(q)
-        if idx.size == 0:
+    if signal.kind in (KIND_SPARSE, KIND_LOW_RANK):
+        if not q.any():
             raise ValueError("zero witness")
-        half = (idx.size + 1) // 2
-        x = np.zeros_like(q)
-        y = np.zeros_like(q)
-        x[idx[:half]] = q[idx[:half]]
-        y[idx[half:]] = -q[idx[half:]]
-        return x, y
-    if signal.kind == KIND_LOW_RANK:
         x = project(q, signal)
         return x, x - q
     if signal.kind == KIND_HERM_SIG:
@@ -571,10 +565,16 @@ def _rank_one_vectors(e):
                     0.0)
 
 
-def _symmetrized(e):
-    return MeasurementEnsemble(field="real", shape="matrix", d=e.d,
-                               operators=hermitize(e.operators), seed=e.seed,
-                               hermitian=True)
+def _decided(signal, cfg, witness=None, restarts_used=0, iterations=0):
+    """Verdict of a case that an exact test or a witness decided:
+    ``refuted_with_witness`` with ``witness`` and the collision pair
+    split from it, or ``certified_exact`` when there is no witness."""
+    collision = (None if witness is None
+                 else witness_to_collision(witness.element, signal))
+    return InjectivityVerdict(
+        status=CERTIFIED_EXACT if witness is None else REFUTED_WITH_WITNESS,
+        witness=witness, collision=collision, restarts_used=restarts_used,
+        iterations=iterations, tolerances=cfg.tolerances())
 
 
 def certify(e, signal, cfg=None):
@@ -592,7 +592,6 @@ def certify(e, signal, cfg=None):
     if signal.d != e.d or (not quadratic and signal.ambient[0] != e.shape):
         raise ValueError("variety ambient does not match ensemble shape")
     w = difference_closure(signal)
-    tols = cfg.tolerances()
 
     vectors = None
     e_search = e
@@ -604,7 +603,10 @@ def certify(e, signal, cfg=None):
             e_search = lift_ensemble(e)
         else:
             vectors = _rank_one_vectors(e)
-            e_search = _symmetrized(e)
+            e_search = MeasurementEnsemble(
+                field="real", shape="matrix", d=e.d,
+                operators=hermitize(e.operators), seed=e.seed,
+                hermitian=True)
     elif signal.kind == KIND_HERM_SIG:
         # matrix operators go to witness_search as they are: it rejects
         # non-Hermitian ones and reads each through its Hermitian part
@@ -614,19 +616,16 @@ def certify(e, signal, cfg=None):
     if w.is_full_space():
         rows, basis, _, ambient, _ = _search_space(e_search, w)
         if basis.shape[1] == 0:
-            return InjectivityVerdict(status=CERTIFIED_EXACT, tolerances=tols)
+            return _decided(signal, cfg)
         x = basis[:, 0].copy()
-        q = ambient(x)
-        res = _norm(rows @ x)
-        wit = Witness(element=q, residual=res, restart=0, iterations=0)
-        return InjectivityVerdict(status=REFUTED_WITH_WITNESS, witness=wit,
-                                  collision=witness_to_collision(q, signal),
-                                  tolerances=tols)
+        return _decided(signal, cfg, Witness(element=ambient(x),
+                                             residual=_norm(rows @ x),
+                                             restart=0, iterations=0))
 
     if signal.kind == KIND_RANK_ONE_REAL and vectors is not None and e.m <= 24:
         ok, subset = complement_property(vectors)
         if ok:
-            return InjectivityVerdict(status=CERTIFIED_EXACT, tolerances=tols)
+            return _decided(signal, cfg)
         held = set(subset)
         comp = tuple(j for j in range(e.m) if j not in held)
         u = _null_vector(vectors[list(subset)], e.d)
@@ -634,23 +633,13 @@ def certify(e, signal, cfg=None):
         q = np.outer(u, v)
         q = q / np.linalg.norm(q)
         res = float(np.linalg.norm(apply(e_search, q).y))
-        wit = Witness(element=q, residual=res, restart=0, iterations=0)
-        return InjectivityVerdict(status=REFUTED_WITH_WITNESS, witness=wit,
-                                  collision=witness_to_collision(q, signal),
-                                  tolerances=tols)
+        return _decided(signal, cfg, Witness(element=q, residual=res,
+                                             restart=0, iterations=0))
 
     result = witness_search(e_search, w, cfg)
-    if result.kernel_dim == 0:
-        return InjectivityVerdict(status=CERTIFIED_EXACT,
-                                  restarts_used=result.restarts_used,
-                                  iterations=result.iterations,
-                                  tolerances=tols)
-    if result.witness is not None:
-        return InjectivityVerdict(
-            status=REFUTED_WITH_WITNESS, witness=result.witness,
-            collision=witness_to_collision(result.witness.element, signal),
-            restarts_used=result.restarts_used, iterations=result.iterations,
-            tolerances=tols)
+    if result.kernel_dim == 0 or result.witness is not None:
+        return _decided(signal, cfg, result.witness, result.restarts_used,
+                        result.iterations)
     # a search in which no restart reached a residual gives no evidence
     margin = None if math.isinf(result.margin) else result.margin
     status = (NO_WITNESS_FOUND
@@ -658,7 +647,8 @@ def certify(e, signal, cfg=None):
               else INCONCLUSIVE)
     return InjectivityVerdict(status=status, margin=margin,
                               restarts_used=result.restarts_used,
-                              iterations=result.iterations, tolerances=tols)
+                              iterations=result.iterations,
+                              tolerances=cfg.tolerances())
 
 
 # ---------------------------------------------------------------------------

@@ -205,14 +205,6 @@ def recover_low_rank(e, y, r, cfg=None, truth=None):
         raise ValueError("recover_low_rank expects a matrix ensemble")
     w = VarietySpec.low_rank(e.d, int(r), field=e.field)
     yv = _as_samples(e, y)
-    if float(np.linalg.norm(yv)) == 0.0:
-        est = np.zeros((e.d, e.d), dtype=np.complex128)
-        if e.field == "real":
-            est = est.real
-        eq = None if truth is None else float(np.linalg.norm(truth))
-        return RecoveryOutcome(estimate=est, residual=0.0,
-                               equivalence_distance=eq, iterations=0,
-                               converged=True)
     est, res, iters, ok = _iht(e, yv, lambda x: project(x, w), cfg)
     if e.field == "real" and np.max(np.abs(est.imag)) < 1e-12:
         est = est.real

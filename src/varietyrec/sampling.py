@@ -38,14 +38,15 @@ def derived_rng(seed, *key):
     )
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class MeasurementEnsemble:
     """Sampling operators over a common field and shape, held as one
     read-only array of shape (m, d) or (m, d, d): row j is operator j.
 
     Treat instances as immutable: ``operators`` is built, checked and
     marked read-only once at construction, and :meth:`stack` is a view
-    of it.  ``ranks`` records per-operator rank bounds (verified on
+    of it.  Ensembles compare and hash by identity; ``a.digest ==
+    b.digest`` compares their content.  ``ranks`` records per-operator rank bounds (verified on
     load); ``hermitian`` asserts max |A_j - A_j*| <= 1e-10 ||A_j||_F
     (:func:`~varietyrec.varieties.is_hermitian`).
     """

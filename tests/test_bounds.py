@@ -97,7 +97,7 @@ def test_real_pr_values():
     assert real_pr_bounds(6).exact == 10
     rep = real_pr_bounds(7)
     assert rep.exact is None and rep.lower == 8 and rep.upper == 13
-    assert real_pr_bounds(4).lower == 1  # no formula below d = 5
+    assert real_pr_bounds(4).lower == 4  # no formula below d = 5: lower = d
     for d in range(2, 4099):
         rep = real_pr_bounds(d)
         assert rep.lower <= rep.upper
@@ -113,7 +113,21 @@ def test_complex_pr_values():
     assert (rep.lower, rep.upper, rep.exact) == (40, 41, None)
     for d in (3, 4):
         rep = complex_pr_bounds(d)
-        assert rep.exact is None and rep.lower == 1 and rep.upper == 4 * d - 4
+        assert (rep.exact is None and rep.lower == 2 * d - 1
+                and rep.upper == 4 * d - 4)
+
+
+def test_pr_lower_bounds_reach_the_signal_dimension():
+    """No injective map has fewer samples than the real dimension of the
+    signal set: d for {xx^T} and 2d-1 for {xx*}; a lower bound that meets
+    the upper bound is the exact value."""
+    for d in range(2, 4099):
+        for rep, dim in ((real_pr_bounds(d), d),
+                         (complex_pr_bounds(d), 2 * d - 1)):
+            assert rep.lower >= dim, (rep.setting, d)
+            if rep.lower == rep.upper:
+                assert rep.exact == rep.lower, (rep.setting, d)
+    assert real_pr_bounds(2).exact == 2
 
 
 def test_complex_pr_sweep_consistency():

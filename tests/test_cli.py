@@ -125,6 +125,20 @@ def test_verify_subset(capsys):
     assert {c["name"] for c in doc["checks"]} == {"data", "bounds"}
 
 
+def test_verify_reference_checks(capsys):
+    code, out = _run(capsys, "verify", "--only", "minor,threshold",
+                     "--restarts", "20", "--seeds", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["all_passed"]
+    detail = {c["name"]: c["detail"] for c in doc["checks"]}
+    assert set(detail) == {"minor", "threshold"}
+    assert set(detail["minor"]) == {"min_residual", "restarts"}
+    assert detail["minor"]["restarts"] == 20
+    assert detail["threshold"] == {"seeds": [
+        {"seed": 1, "m11": "refuted_with_witness", "m12": "no_witness_found"}]}
+
+
 def test_demo_admissibility(capsys):
     code, out = _run(capsys, "demo-admissibility", "--d", "2",
                      "--samples", "500")

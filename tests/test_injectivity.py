@@ -505,6 +505,21 @@ def test_certify_full_space_difference_uses_rank():
     assert collision_residual(e, VarietySpec.sparse(4, 2), x, y) <= 1e-8
 
 
+def test_certify_trivial_kernel_after_the_search():
+    """Outside the full-space and complement cases, a trivial kernel is
+    certified exactly before the first restart."""
+    cases = ((gen_gaussian_matrices(3, 18, "complex", seed=1),
+              VarietySpec.low_rank(3, 1)),
+             (lift_ensemble(gen_gaussian_vectors(2, 4, "complex", seed=1)),
+              VarietySpec.herm_sig(2)))
+    for e, signal in cases:
+        v = certify(e, signal)
+        assert v.status == CERTIFIED_EXACT
+        assert v.restarts_used == 0 and v.iterations == 0
+        assert v.witness is None and v.collision is None
+        assert v.tolerances == SearchConfig().tolerances()
+
+
 def test_certify_real_pr_complement_paths():
     e = gen_gaussian_vectors(3, 5, "real", seed=2)  # m = 2d-1
     assert certify(e, VarietySpec.rank_one_real(3)).status == CERTIFIED_EXACT
@@ -696,6 +711,8 @@ def test_witness_to_collision_rank_one_real_identity():
 def test_witness_to_collision_zero_rejected():
     with pytest.raises(ValueError):
         witness_to_collision(np.zeros(4), VarietySpec.sparse(4, 1))
+    with pytest.raises(ValueError, match="zero witness"):
+        witness_to_collision(np.zeros((3, 3)), VarietySpec.low_rank(3, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -136,9 +136,12 @@ def test_recover_low_rank_full_basis_immediate():
 
 
 def test_recover_low_rank_zero_samples():
-    e = gen_gaussian_matrices(3, 5, "complex", seed=0)
-    out = recover_low_rank(e, np.zeros(5), 1)
-    assert out.converged and np.linalg.norm(out.estimate) == 0.0
+    for field in ("complex", "real"):
+        e = gen_gaussian_matrices(3, 5, field, seed=0)
+        out = recover_low_rank(e, np.zeros(5), 1)
+        assert out.converged and np.linalg.norm(out.estimate) == 0.0
+        assert out.residual == 0.0 and out.iterations == 0
+        assert out.estimate.dtype == (float if field == "real" else complex)
 
 
 def test_recover_low_rank_injective_regime():

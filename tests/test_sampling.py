@@ -207,6 +207,14 @@ def test_operators_are_one_read_only_array():
     assert ops.flags.writeable and not np.shares_memory(v.operators, ops)
 
 
+def test_ensembles_compare_and_hash_by_identity():
+    a = gen_gaussian_vectors(3, 4, seed=1)
+    b = gen_gaussian_vectors(3, 4, seed=1)
+    assert (a == b) is False and a == a
+    assert a.digest == b.digest  # content
+    assert {a: "a", b: "b"}[a] == "a" and len({a, b}) == 2
+
+
 def _draw_stack(data, shape, field):
     n = int(np.prod(shape))
     elems = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)

@@ -297,6 +297,26 @@ def test_membership_herm_sig_signature():
     assert membership(x, VarietySpec.herm_sig(2))
 
 
+def test_membership_is_the_distance_to_the_projection():
+    # sigma_2 = 6e-9 is below 1e-8 ||x||, but the three dropped singular
+    # values put x at distance sqrt(3) * 6e-9 from the rank-one matrices
+    x = np.diag([1.0, 6e-9, 6e-9, 6e-9])
+    assert not membership(x, VarietySpec.low_rank(4, 1, "real"), 1e-8)
+    assert membership(x, VarietySpec.low_rank(4, 1, "real"), 2e-8)
+    # the projection drops an anti-Hermitian part and, on a real variety,
+    # an imaginary part, so both count toward the distance
+    h = np.diag([1.0, -1.0]).astype(complex)
+    assert membership(h, VarietySpec.herm_sig(2))
+    skew = 1e-6 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    assert not membership(h + skew, VarietySpec.herm_sig(2))
+    real = np.diag([1.0, 0.0])
+    for w in (VarietySpec.low_rank(2, 1, "real"), VarietySpec.rank_one_real(2)):
+        assert membership(real + 0j, w)
+        assert not membership(real + 1e-6j * np.ones((2, 2)), w)
+    assert membership(real + 1e-6j * np.ones((2, 2)),
+                      VarietySpec.low_rank(2, 2, "complex"))
+
+
 def test_spec_json_round_trip():
     for w in _PROJECTABLE:
         assert VarietySpec.from_json(w.to_json()) == w
