@@ -249,17 +249,25 @@ def cmd_recover(args):
     truth = None
     if args.truth:
         truth = np.asarray(load_samples(args.truth).y)
-    parts = args.variety.split(":")
-    cfg = _solver_config(parts[0], args.seed, tol_fit=args.tol)
-    if parts[0] == "sparse":
-        out = recover_sparse(e, y, int(parts[-1]), cfg=cfg, truth=truth)
-    elif parts[0] == "low_rank":
-        tr = truth.reshape(e.d, e.d) if truth is not None else None
-        out = recover_low_rank(e, y, int(parts[-1]), cfg=cfg, truth=tr)
-    elif parts[0] == "phase":
-        out = recover_phase(e, y, cfg=cfg, truth=truth)
+    kind, *nums = args.variety.split(":")
+    if kind == "phase" and len(nums) <= 1:
+        d = int(nums[0]) if nums else e.d
+    elif kind in (KIND_SPARSE, KIND_LOW_RANK):
+        w = _parse_variety(args.variety, d=e.d, field=e.field)
+        d = w.d
     else:
         raise ValueError(f"unknown recovery variety {args.variety!r}")
+    if d != e.d:
+        raise ValueError(f"variety {args.variety!r} has d={d}, "
+                         f"but the ensemble has d={e.d}")
+    cfg = _solver_config(kind, args.seed, tol_fit=args.tol)
+    if kind == KIND_SPARSE:
+        out = recover_sparse(e, y, w.param, cfg=cfg, truth=truth)
+    elif kind == KIND_LOW_RANK:
+        tr = truth.reshape(e.d, e.d) if truth is not None else None
+        out = recover_low_rank(e, y, w.param, cfg=cfg, truth=tr)
+    else:
+        out = recover_phase(e, y, cfg=cfg, truth=truth)
     _log(f"recover: converged={out.converged} residual={out.residual:.3e}")
     _emit(args, _outcome_json(out))
     return 0
@@ -453,7 +461,7 @@ def _build_parser():
     sp.add_argument("--ensemble", required=True)
     sp.add_argument("--samples", required=True)
     sp.add_argument("--variety", required=True,
-                    help="sparse:K | low_rank:R | phase")
+                    help="sparse[:D]:K | low_rank[:D]:R | phase[:D]")
     sp.add_argument("--truth", help="optional ground-truth samples file")
     sp.add_argument("--tol", type=float, default=1e-8)
     common(sp)

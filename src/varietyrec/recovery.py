@@ -1,6 +1,7 @@
-"""Recovery solvers: support enumeration, iterative hard thresholding,
-and multistart Gauss-Newton on the signal for quadratic samples, plus
-the phase-transition sweep.
+"""Recovery solvers: support enumeration for sparse signals, and one
+multistart Gauss-Newton driver shared by low-rank recovery (on the
+factors of X = U V^T) and quadratic-sample recovery (on the signal),
+plus the phase-transition sweep.
 
 All solvers report a residual against the given samples and set
 ``converged`` only when that residual is below ``tol_fit`` relative to
@@ -18,14 +19,12 @@ import numpy as np
 from .sampling import (SampleVector, _gauss, apply, derived_rng,
                        gen_gaussian_matrices, gen_gaussian_vectors,
                        lift_rank_one)
-from .varieties import (VarietySpec, _norm, equivalence_distance, hermitize,
-                        project)
+from .varieties import equivalence_distance, hermitize
 
-_STREAM_IHT = 30
+_STREAM_LOW_RANK = 30
 _STREAM_PHASE = 31
 _STREAM_SWEEP = 40
 
-_STAGNATION_WINDOW = 20
 _STAGNATION_RTOL = 1e-12
 # a Gauss-Newton step is halved at most this often before the run ends
 _HALVINGS = 30
@@ -131,86 +130,118 @@ def recover_sparse(e, y, k, cfg=None, truth=None):
 
 
 # ---------------------------------------------------------------------------
-# iterative hard thresholding
+# multistart Gauss-Newton
 # ---------------------------------------------------------------------------
 
 
-def _iht(e, yv, project_fn, cfg):
-    """Hard thresholding with exact line-search steps and restarts.
+def _gauss_newton(misfit, direction, z, cfg, tol_abs):
+    """One Gauss-Newton run from ``z``: ``misfit(z)`` gives the residual
+    ``r`` and the ``aux`` that ``direction(z, r, aux)`` needs for the step.
 
-    Each restart runs up to ``max_iters`` gradient/projection rounds with
-    the step length minimizing the data misfit along the gradient
-    direction; relative progress below ``_STAGNATION_RTOL`` over
-    ``_STAGNATION_WINDOW`` iterations ends the run early.
+    Each step is halved until the misfit drops; the run ends at
+    ``tol_abs``, when no halving helps, when the relative decrease falls
+    below ``_STAGNATION_RTOL``, or after ``max_iters`` steps.  Returns the
+    final misfit, the iterate and the number of steps.
     """
-    d = e.d
-    stack = e.stack()
-    yc = yv.astype(np.complex128)
-    ynorm = float(np.linalg.norm(yc))
-    tol_abs = cfg.tol_fit * ynorm
-
-    def samples(x):
-        return stack @ x.conj().ravel()
-
-    def adjoint(v):
-        return (v.conj() @ stack).reshape(d, d)
-
-    def residual(x):
-        return _norm(samples(x) - yc)
-
-    x0 = project_fn(adjoint(yc))
-    scale0 = max(float(np.linalg.norm(x0)), 1.0)
-    best = None
-    total_iters = 0
-    for ridx in range(cfg.restarts):
-        if ridx == 0:
-            x = x0
-        else:
-            # complex for every field: seeded restarts depend on the
-            # rounding of the complex division below
-            rng = derived_rng(cfg.seed, _STREAM_IHT, ridx)
-            g = _gauss(rng, (d, d), e.field).astype(complex)
-            x = project_fn(g / np.linalg.norm(g) * scale0)
-        run_best = (residual(x), x)
-        history = [run_best[0]]
-        for _ in range(cfg.max_iters):
-            if run_best[0] <= tol_abs:
+    r, aux = misfit(z)
+    res = float(np.linalg.norm(r))
+    steps = 0
+    while steps < cfg.max_iters and res > tol_abs:
+        dz = direction(z, r, aux)
+        steps += 1
+        eta = 1.0
+        for _ in range(_HALVINGS):
+            r_new, aux_new = misfit(z + eta * dz)
+            res_new = float(np.linalg.norm(r_new))
+            if res_new < res:
                 break
-            g = adjoint(yc - samples(x))
-            # ||g||^2 = Re<r, M g>, so M g = 0 only when g = 0, and then
-            # every step length leaves x where it is
-            mg2 = _norm(samples(g)) ** 2
-            eta = _norm(g) ** 2 / mg2 if mg2 > 0 else 0.0
-            x = project_fn(x + eta * g)
-            total_iters += 1
-            res = residual(x)
-            if res < run_best[0]:
-                run_best = (res, x)
-            history.append(res)
-            if len(history) > _STAGNATION_WINDOW:
-                old = history[-_STAGNATION_WINDOW - 1]
-                if old - res < _STAGNATION_RTOL * max(old, 1e-300):
-                    break  # stalled; take a fresh start
-        if best is None or run_best[0] < best[0]:
-            best = run_best
+            eta *= 0.5
+        else:
+            break  # no step length lowers the misfit
+        stalled = res - res_new < _STAGNATION_RTOL * res
+        z, r, aux, res = z + eta * dz, r_new, aux_new, res_new
+        if stalled:
+            break
+    return res, z, steps
+
+
+def _multistart(misfit, direction, scale, z0, field, stream, cfg, tol_abs):
+    """Gauss-Newton runs from ``scale(z0)``, then from ``scale(g)`` for
+    Gaussians ``g`` shaped like ``z0`` drawn from ``derived_rng(cfg.seed,
+    stream, ridx)``, until a run fits or ``cfg.restarts`` runs are done.
+    Returns the iterate of the run with the lowest misfit, that misfit and
+    the number of steps summed over the runs.
+    """
+    best = None
+    iters = 0
+    for ridx in range(cfg.restarts):
+        if ridx:
+            z0 = _gauss(derived_rng(cfg.seed, stream, ridx), z0.shape, field)
+        run = _gauss_newton(misfit, direction, scale(z0), cfg, tol_abs)
+        iters += run[2]
+        if best is None or run[0] < best[0]:
+            best = run
         if best[0] <= tol_abs:
-            return best[1], best[0], total_iters, True
-    return best[1], best[0], total_iters, best[0] <= tol_abs
+            break
+    return best[1], best[0], iters
 
 
 def recover_low_rank(e, y, r, cfg=None, truth=None):
-    """Iterative hard thresholding onto rank <= r with spectral start."""
+    """Rank-<= r recovery by multistart Gauss-Newton on the factors.
+
+    The estimate is ``U V^T`` with ``[U | V]`` of shape (d, 2r), fitted to
+    ``conj(y_j) = <conj(A_j), U V^T>`` (real ensembles fit ``Re y`` in
+    real arithmetic).  Each step is the minimum-norm least-squares
+    solution, which leaves the r^2 directions of the factorization's gauge
+    alone.  Restart 0 starts from the top-r SVD of ``sum_j conj(y_j)
+    A_j``, every later restart from Gaussian factors drawn from
+    ``cfg.seed``; each start is first scaled to fit the samples in least
+    squares, and the search stops at the first restart that fits.
+    ``iterations`` is the number of Gauss-Newton steps summed over the
+    restarts run.  Residual and convergence are judged on the estimate's
+    own samples against the given ones.
+    """
     cfg = cfg or RecoverConfig()
     if e.shape != "matrix":
         raise ValueError("recover_low_rank expects a matrix ensemble")
-    w = VarietySpec.low_rank(e.d, int(r), field=e.field)
+    d, r = e.d, int(r)
+    if not 0 <= r <= d:
+        raise ValueError(f"parameter {r} out of range [0, {d}]")
     yv = _as_samples(e, y)
-    est, res, iters, ok = _iht(e, yv, lambda x: project(x, w), cfg)
-    if e.field == "real" and np.max(np.abs(est.imag)) < 1e-12:
-        est = est.real
+    real = e.field == "real"
+    stack = e.stack()
+    b = stack.conj()
+    b3 = b.reshape(e.m, d, d)
+    t = yv.real if real else yv.conj()
+
+    def samples(z):
+        return b @ (z[:, :r] @ z[:, r:].T).ravel()
+
+    def direction(z, res, _):
+        jac = np.concatenate([b3 @ z[:, r:], b3.mT @ z[:, :r]], 2)
+        dz = np.linalg.lstsq(jac.reshape(e.m, -1), -res, rcond=None)[0]
+        return dz.reshape(d, 2 * r)
+
+    def scale(z):
+        p = samples(z)
+        pp = np.vdot(p, p).real
+        c = np.vdot(p, t) / pp if pp > 0 else 0.0
+        if real:  # U V^T times c, with the sign of c on V
+            return math.sqrt(abs(c)) * z * np.repeat([1.0, np.sign(c)], r)
+        return np.sqrt(c) * z
+
+    u, s, vh = np.linalg.svd((t @ stack).reshape(d, d))
+    root = np.sqrt(s[:r])
+    z0 = np.concatenate([u[:, :r] * root, vh[:r].T * root], 1)
+    tol_abs = cfg.tol_fit * float(np.linalg.norm(yv))
+    z, _, iters = _multistart(lambda z: (samples(z) - t, None), direction,
+                              scale, z0, e.field, _STREAM_LOW_RANK, cfg,
+                              tol_abs)
+    est = z[:, :r] @ z[:, r:].T
+    res = float(np.linalg.norm(stack @ est.conj().ravel() - yv))
     eq = None if truth is None else float(np.linalg.norm(est - np.asarray(truth)))
     return RecoveryOutcome(estimate=est, residual=res, equivalence_distance=eq,
-                           iterations=iters, converged=ok)
+                           iterations=iters, converged=res <= tol_abs)
 
 
 def _quadratic_forms(e, yv):
@@ -238,45 +269,6 @@ def _misfit(forms, target, x):
     return np.real(qx @ x.conj()) - target, qx
 
 
-def _gauss_newton_phase(forms, target, x, cfg, tol_abs):
-    """One Gauss-Newton run on ``x* Q_j x = t_j`` from ``c x``, where
-    ``c >= 0`` fits ``c^2 x* Q_j x`` to ``t`` in least squares.
-
-    Complex signals are solved for in real coordinates ``(Re x, Im x)``.
-    Each step is halved until the misfit drops; the run ends at
-    ``tol_abs``, when no halving helps, when the relative decrease falls
-    below ``_STAGNATION_RTOL``, or after ``max_iters`` steps.  Returns the
-    final misfit, the iterate and the number of steps.
-    """
-    d = x.shape[0]
-    real = not np.iscomplexobj(x)
-    q = _misfit(forms, 0.0, x)[0]
-    qq = float(q @ q)
-    x = math.sqrt(max(float(q @ target) / qq if qq > 0 else 0.0, 0.0)) * x
-    r, qx = _misfit(forms, target, x)
-    res = float(np.linalg.norm(r))
-    steps = 0
-    while steps < cfg.max_iters and res > tol_abs:
-        jac = 2.0 * (qx if real else np.concatenate([qx.real, qx.imag], 1))
-        dz = np.linalg.lstsq(jac, -r, rcond=None)[0]
-        dx = dz if real else dz[:d] + 1j * dz[d:]
-        steps += 1
-        eta = 1.0
-        for _ in range(_HALVINGS):
-            r_new, qx_new = _misfit(forms, target, x + eta * dx)
-            res_new = float(np.linalg.norm(r_new))
-            if res_new < res:
-                break
-            eta *= 0.5
-        else:
-            break  # no step length lowers the misfit
-        stalled = res - res_new < _STAGNATION_RTOL * res
-        x, r, qx, res = x + eta * dx, r_new, qx_new, res_new
-        if stalled:
-            break
-    return res, x, steps
-
-
 def recover_phase(e, y, cfg=None, truth=None):
     """Quadratic-sample recovery by multistart Gauss-Newton on the signal.
 
@@ -297,21 +289,25 @@ def recover_phase(e, y, cfg=None, truth=None):
     yv = _as_samples(e, y)
     ops, forms, target = _quadratic_forms(e, yv)
     tol_abs = cfg.tol_fit * float(np.linalg.norm(yv))
-    best = None
-    iters = 0
-    for ridx in range(cfg.restarts):
-        if ridx == 0:
-            x = np.linalg.eigh(np.tensordot(target, forms, 1))[1][:, -1]
-        else:
-            rng = derived_rng(cfg.seed, _STREAM_PHASE, ridx)
-            x = _gauss(rng, e.d, e.field)
-        run = _gauss_newton_phase(forms, target, x, cfg, tol_abs)
-        iters += run[2]
-        if best is None or run[0] < best[0]:
-            best = run
-        if best[0] <= tol_abs:
-            break
-    xhat = best[1]
+    real = e.field == "real"
+
+    def direction(x, r, qx):
+        # complex signals are solved for in real coordinates (Re x, Im x)
+        jac = 2.0 * (qx if real else np.concatenate([qx.real, qx.imag], 1))
+        dz = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        return dz if real else dz[:e.d] + 1j * dz[e.d:]
+
+    def scale(x):
+        # c >= 0 fits c^2 x* Q_j x to t in least squares
+        q = _misfit(forms, 0.0, x)[0]
+        qq = float(q @ q)
+        c2 = float(q @ target) / qq if qq > 0 else 0.0
+        return math.sqrt(max(c2, 0.0)) * x
+
+    x0 = np.linalg.eigh(np.tensordot(target, forms, 1))[1][:, -1]
+    xhat, _, iters = _multistart(lambda x: _misfit(forms, target, x),
+                                 direction, scale, x0, e.field,
+                                 _STREAM_PHASE, cfg, tol_abs)
     if np.any(xhat):
         i = int(np.argmax(np.abs(xhat)))
         xhat = xhat / (xhat[i] / abs(xhat[i]))
@@ -343,12 +339,7 @@ def _sparse_trial(d, k, m, field, rng, cfg):
 def _low_rank_trial(d, r, m, field, rng, cfg):
     seed = int(rng.integers(2 ** 31))
     e = gen_gaussian_matrices(d, m, field=field, seed=seed)
-    u = rng.standard_normal((d, r))
-    v = rng.standard_normal((r, d))
-    if field == "complex":
-        u = u + 1j * rng.standard_normal((d, r))
-        v = v + 1j * rng.standard_normal((r, d))
-    q = u @ v
+    q = _gauss(rng, (d, r), field) @ _gauss(rng, (r, d), field)
     out = recover_low_rank(e, apply(e, q), r, cfg=cfg, truth=q)
     err = float(np.linalg.norm(out.estimate - q)) / max(np.linalg.norm(q), 1e-300)
     return out.converged and err < 1e-6

@@ -262,6 +262,33 @@ def test_recover_rejects_wrong_sample_count(capsys, tmp_path, kind, variety):
     assert "expected 8 samples, got 7" in capsys.readouterr().err
 
 
+def test_recover_checks_variety_size(capsys, tmp_path):
+    paths = {}
+    for kind, variety in (("gaussian_matrices", "low_rank"),
+                          ("gaussian", "phase")):
+        epath = tmp_path / f"{variety}.json"
+        ypath = tmp_path / f"y_{variety}.json"
+        main(["generate", "--kind", kind, "--d", "3", "--m", "9",
+              "--out", str(epath)])
+        save_samples(ypath, SampleVector(np.ones(9)))
+        paths[variety] = ["--ensemble", str(epath), "--samples", str(ypath)]
+    capsys.readouterr()
+    for variety, spec, size in (("low_rank", "low_rank:5:1", 5),
+                                ("phase", "phase:7", 7)):
+        code = main(["recover", *paths[variety], "--variety", spec])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "d=3" in err and f"d={size}" in err
+    code = main(["recover", *paths["low_rank"], "--variety", "low_rank"])
+    err = capsys.readouterr().err
+    assert code == 2 and "needs kind:d:param" in err
+    for variety, spec in (("low_rank", "low_rank:3:1"),
+                          ("low_rank", "low_rank:1"), ("phase", "phase:3"),
+                          ("phase", "phase")):
+        assert main(["recover", *paths[variety], "--variety", spec]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_verify_rejects_empty_restart_budget(capsys, value):
     code = main(["verify", "--only", "minor", "--restarts", value])

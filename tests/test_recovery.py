@@ -118,6 +118,11 @@ def test_recover_sparse_budget_guard():
 # ---------------------------------------------------------------------------
 
 
+def _gauss(rng, shape, field):
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if field == "complex" else x
+
+
 def test_recover_rejects_non_finite_samples():
     e = gen_gaussian_vectors(8, 4, "real", seed=0)
     with pytest.raises(ValueError):
@@ -165,6 +170,67 @@ def test_recover_low_rank_seed_independence_when_injective():
     b = recover_low_rank(e, y, 1, cfg=RecoverConfig(seed=99))
     assert a.converged and b.converged
     assert np.linalg.norm(a.estimate - b.estimate) <= 1e-6
+
+
+def _low_rank_truth(rng, d, r, field):
+    return _gauss(rng, (d, r), field) @ _gauss(rng, (r, d), field)
+
+
+# seed-7 sweep trials (m, trial) at real d=4, r=1 that the earlier solver,
+# iterative hard thresholding, left stalled next to the truth
+@pytest.mark.parametrize("m,trial", [(10, 3), (10, 8), (10, 99), (10, 129),
+                                     (10, 143), (10, 150), (12, 2), (12, 38)])
+def test_recover_low_rank_failure_corpus(m, trial):
+    # built as phase_transition_sweep's trial builds it
+    rng = derived_rng(7, 40, m, trial)
+    e = gen_gaussian_matrices(4, m, field="real",
+                              seed=int(rng.integers(2 ** 31)))
+    q = _low_rank_truth(rng, 4, 1, "real")
+    out = recover_low_rank(e, apply(e, q), 1, truth=q)
+    assert out.converged and out.estimate.dtype == float
+    assert out.equivalence_distance < 1e-6 * np.linalg.norm(q)
+
+
+# inputs (generator seed, round) of the complex d=4, r=1, m=16 benchmark
+# pool on which the spectral start stalls at a relative residual near 0.45
+@pytest.mark.parametrize("seed,rnd", [(21, 138), (26, 236), (38, 239),
+                                      (49, 144)])
+def test_recover_low_rank_needs_seeded_restarts(seed, rnd):
+    rng = np.random.default_rng([seed, 0, rnd])
+    e = gen_gaussian_matrices(4, 16, "complex",
+                              seed=int(rng.integers(2 ** 31)))
+    q = _low_rank_truth(rng, 4, 1, "complex")
+    y = apply(e, q)
+    assert not recover_low_rank(e, y, 1, cfg=RecoverConfig(restarts=1)).converged
+    out = recover_low_rank(e, y, 1, truth=q)
+    assert out.converged
+    assert out.equivalence_distance < 1e-6 * np.linalg.norm(q)
+
+
+@st.composite
+def _low_rank_problems(draw):
+    if draw(st.booleans()):
+        field = "complex"
+        d = draw(st.integers(2, 5))
+        r = draw(st.integers(1, min(2, d - 1)))
+        lo = 4 * d * r - 4 * r * r
+        m = draw(st.integers(lo, lo + 2 * d))
+    else:
+        # real families where 4dr - 4r^2 is the exact count
+        field = "real"
+        d, r, m = draw(st.sampled_from([(3, 1, 8), (5, 2, 24)]))
+    seed = draw(st.integers(0, 2 ** 31 - 1))
+    e = gen_gaussian_matrices(d, m, field, seed=seed)
+    return e, r, _low_rank_truth(derived_rng(seed, 1), d, r, field)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_low_rank_problems())
+def test_recover_low_rank_at_injectivity_count(problem):
+    e, r, q = problem
+    out = recover_low_rank(e, apply(e, q), r, truth=q)
+    assert out.converged
+    assert out.equivalence_distance < 1e-6 * np.linalg.norm(q)
 
 
 def test_solver_soundness_residual_bound():
@@ -223,11 +289,6 @@ def test_recover_phase_zero_samples():
     e = gen_gaussian_vectors(3, 5, "real", seed=0)
     out = recover_phase(e, np.zeros(5))
     assert out.converged and np.linalg.norm(out.estimate) == 0.0
-
-
-def _gauss(rng, d, field):
-    x = rng.standard_normal(d)
-    return x + 1j * rng.standard_normal(d) if field == "complex" else x
 
 
 # sweep trials (sweep seed, d, m, field, trial) that the earlier solver, hard
@@ -311,10 +372,12 @@ def test_sweep_sparse_threshold():
 
 def test_sweep_low_rank_threshold():
     cfg = RecoverConfig(max_iters=400, restarts=3)
-    rows = phase_transition_sweep("low_rank", 4, 1, [8, 12, 16], 8, seed=0,
+    rows = phase_transition_sweep("low_rank", 4, 1, [6, 12, 16], 8, seed=0,
                                   cfg=cfg)
     rates = {row["m"]: row["success_rate"] for row in rows}
-    assert rates[8] <= 0.5  # below the exact threshold 4dr - 4r^2 = 12
+    # below dim V = 2dr - r^2 = 7 every fibre of the sampling map on the
+    # rank variety is positive-dimensional, so no trial can pin the truth
+    assert rates[6] == 0.0
     assert rates[16] >= 0.9
 
 
