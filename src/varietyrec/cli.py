@@ -374,6 +374,8 @@ def _check_bounds():
 
 
 def cmd_verify(args):
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     only = set(args.only.split(",")) if args.only else None
     checks = []
 

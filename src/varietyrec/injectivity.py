@@ -11,7 +11,11 @@ dispatches between three regimes:
 * everything else, where alternating projections between the kernel and
   the difference variety either produce an explicit unit-norm witness
   (refutation) or a positive residual margin (a probabilistic
-  certificate: no finite numeric test can certify genericity).
+  certificate: no finite numeric test can certify genericity).  A
+  restart that comes close to the kernel is finished by Gauss-Newton on
+  the difference variety's parametrization, which converges where the
+  projections crawl at a linear rate; the margin comes from the
+  projections alone.
 
 Refutations are constructive: every witness is split into a collision
 pair of distinct signals with identical samples.
@@ -24,6 +28,7 @@ import math
 
 import numpy as np
 
+from .recovery import _factor_model, _gauss_newton, _misfit
 from .sampling import (MeasurementEnsemble, _gauss, _tau, apply, derived_rng,
                        lift_ensemble, lift_rank_one)
 from .varieties import (KIND_HERM_SIG, KIND_LOW_RANK, KIND_RANK_ONE_REAL,
@@ -46,6 +51,15 @@ _KERNEL_CUTOFF = 1e-10
 # extra iterations granted once a restart reaches feasibility, so the
 # returned witness is polished to the fixed point of both projections
 _POLISH_ITERS = 3000
+# a restart hands its iterate to the Gauss-Newton finish the first time
+# its residual is at most this share of the operator scale, and again at
+# each hundredfold lower residual; each finish takes at most
+# _FINISH_STEPS steps
+_FINISH_AT = 1e-2
+_FINISH_STEPS = 30
+# the residual, relative to the operator scale, at which both the
+# alternating projections and the finish stop
+_RESIDUAL_FLOOR_REL = 1e-14
 # most subsets per stacked rank test in complement_property
 _RANK_BLOCK = 1024
 # the sphere descent stops a row whose minor residual is at most this:
@@ -79,6 +93,20 @@ class SearchConfig:
     margin_threshold: float = 1e-6
     seed: int = 0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.tol_feas) and self.tol_feas > 0):
+            raise ValueError("tol_feas must be finite and positive, got "
+                             f"{self.tol_feas}")
+        if not (math.isfinite(self.margin_threshold)
+                and self.margin_threshold >= 0):
+            raise ValueError("margin_threshold must be finite and "
+                             f"nonnegative, got {self.margin_threshold}")
+        # restarts=0 is the empty budget, whose verdict is inconclusive
+        for name in ("restarts", "max_iters"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got "
+                                 f"{getattr(self, name)}")
+
     def tolerances(self):
         return {"tol_feas": self.tol_feas,
                 "margin_threshold": self.margin_threshold,
@@ -88,8 +116,12 @@ class SearchConfig:
 @dataclasses.dataclass
 class Witness:
     """Unit-Frobenius element of a difference variety annihilated by the
-    sampling map (up to ``residual``).  Always a projection output, so
-    variety membership is exact."""
+    sampling map (up to ``residual``).  It is a projection output or a
+    point of the variety's parametrization (``U V^T``, ``u u* - v v*``,
+    or a vector on a support of the variety's size), so variety
+    membership is exact.  ``iterations`` counts the restart's
+    alternating projections plus the steps of the finish that returned
+    it, if one did."""
 
     element: np.ndarray
     residual: float
@@ -107,6 +139,9 @@ class SearchResult:
     scale: float = 0.0
     # restarts run, by STOP_REASONS; the counts sum to restarts_used
     stops: dict = dataclasses.field(default_factory=dict)
+    # Gauss-Newton finishes tried, and their steps, across the restarts
+    finish_attempts: int = 0
+    finish_steps: int = 0
 
 
 @dataclasses.dataclass
@@ -366,6 +401,103 @@ def _search_space(e, w):
 # ---------------------------------------------------------------------------
 
 
+def _finisher(e, w, rows, scale, ambient, coords):
+    """The Gauss-Newton finish of a witness-search restart, for the
+    search space ``(rows, scale, ambient, coords)`` of :func:`_search_space`.
+
+    ``finish(q0)`` takes the restart's unit iterate ``q0``, a point of
+    ``w``, and fits ``A(q) = 0`` with ``<q0, q> = 1`` on ``w``'s
+    parametrization, starting from ``q0``.  The last equation is scaled
+    by ``scale``, so every row is in operator units.  By kind:
+
+    * low_rank and rank_one_real: ``q = U V^T``, with ``[U | V]`` started
+      from the truncated SVD of ``q0`` and stepped as
+      :func:`~varietyrec.recovery._factor_model` steps;
+    * herm_sig: ``q = u u* - v v*``, with ``u`` and ``v`` started from
+      ``q0``'s extreme eigenpairs and stepped in the real coordinates
+      ``(Re u, Im u, Re v, Im v)`` on :func:`~varietyrec.recovery._misfit`;
+    * sparse: no steps; ``q`` is the null vector of ``rows`` restricted to
+      the coordinates of ``q0``'s support (:func:`_null_vector`).
+
+    Each run is :func:`~varietyrec.recovery._gauss_newton`, for at most
+    ``_FINISH_STEPS`` steps, down to ``_RESIDUAL_FLOOR_REL * scale``.
+    Every ``q`` lies on ``w`` by construction, so no projection is made.
+    Returns ``(q, residual, steps)``: ``q`` normalized to unit Frobenius
+    norm (and hermitized for herm_sig) with its sample residual
+    ``|rows @ coords(q)|``, or ``(None, inf, steps)`` when ``q`` is zero
+    or not finite.
+    """
+    mode = _variety_mode(w)
+    tol_abs = _RESIDUAL_FLOOR_REL * scale
+
+    def unit(q, steps):
+        nq = _norm(q)
+        if not (math.isfinite(nq) and nq > 0.0):
+            return None, math.inf, steps
+        q = q / nq
+        if w.kind == KIND_HERM_SIG:
+            q = hermitize(q)
+        r = rows @ coords(q)
+        return q, math.sqrt(r.dot(r)), steps
+
+    if w.kind == KIND_SPARSE:
+        per_entry = 1 if mode == "real" else 2
+
+        def finish(q0):
+            cols = np.flatnonzero(np.repeat(q0 != 0, per_entry))
+            x = np.zeros(rows.shape[1])
+            x[cols] = _null_vector(rows[:, cols], len(cols))
+            return unit(ambient(x), 0)
+        return finish
+
+    if w.kind == KIND_HERM_SIG:
+        forms = hermitize(e.operators)
+        target = np.append(np.zeros(e.m), scale)
+
+        def finish(q0):
+            q0 = hermitize(q0)
+            qforms = np.concatenate([forms, scale * q0[None]])
+
+            def misfit(z):
+                ru, qu = _misfit(qforms, target, z[:, 0])
+                rv, qv = _misfit(qforms, 0.0, z[:, 1])
+                return ru - rv, (qu, qv)
+
+            def direction(z, r, aux):
+                qu, qv = aux
+                jac = 2.0 * np.concatenate([qu.real, qu.imag, -qv.real,
+                                            -qv.imag], 1)
+                dz = np.linalg.lstsq(jac, -r, rcond=None)[0]
+                dz = dz.reshape(2, 2, w.d)  # (u, v) by (Re, Im)
+                return (dz[:, 0] + 1j * dz[:, 1]).T
+
+            vals, vecs = np.linalg.eigh(q0)
+            ip, im = int(np.argmax(vals)), int(np.argmin(vals))
+            z0 = np.stack([math.sqrt(max(vals[ip], 0.0)) * vecs[:, ip],
+                           math.sqrt(max(-vals[im], 0.0)) * vecs[:, im]], 1)
+            _, z, steps = _gauss_newton(misfit, direction, z0,
+                                        _FINISH_STEPS, tol_abs)
+            u, v = z.T
+            return unit(np.outer(u, u.conj()) - np.outer(v, v.conj()), steps)
+        return finish
+
+    # low_rank and rank_one_real; the real rows read real matrices' entries
+    r = w.param
+    b = rows if mode == "real" else e.stack().conj()
+    target = np.append(np.zeros(len(b)), scale)
+
+    def finish(q0):
+        samples, direction = _factor_model(
+            np.concatenate([b, scale * q0.conj().reshape(1, -1)]), r)
+        u, s, vh = np.linalg.svd(q0)
+        root = np.sqrt(s[:r])
+        z0 = np.concatenate([u[:, :r] * root, vh[:r].T * root], 1)
+        _, z, steps = _gauss_newton(lambda z: (samples(z) - target, None),
+                                    direction, z0, _FINISH_STEPS, tol_abs)
+        return unit(z[:, :r] @ z[:, r:].T, steps)
+    return finish
+
+
 def witness_search(e, w, cfg=None):
     """Search ker(sampling map) for a nonzero element of the variety ``w``.
 
@@ -374,8 +506,22 @@ def witness_search(e, w, cfg=None):
     each iteration, over ``cfg.restarts`` independent seeded starts.
     Feasibility means sample residual at most ``tol_feas`` times the
     operator scale.  The returned margin is the smallest residual seen at
-    any unit-norm variety point, across all restarts, and ``stops``
-    counts the restarts by why they ended (``STOP_REASONS``).
+    any unit-norm variety point that the projections visited, across all
+    restarts, and ``stops`` counts the restarts by why they ended
+    (``STOP_REASONS``).
+
+    The first time a restart's residual is at most ``_FINISH_AT`` times
+    the scale, and again each time it falls a hundredfold below the
+    last try, its iterate goes to a Gauss-Newton finish on ``w``'s
+    parametrization (:func:`_finisher`), unless the restart is already
+    feasible.  A finished point with a feasible residual is the
+    restart's witness and counts as a ``feasible`` stop; otherwise the
+    projections go on from where they were, as if no finish had been
+    tried, so a search that finds no witness gives the margin, restarts
+    and stops it would give without the finish.  ``iterations`` (and
+    ``Witness.iterations``) count the alternating projections plus the
+    steps of the finish that returned the witness; ``finish_attempts``
+    and ``finish_steps`` count every finish tried.
 
     The loop runs on real coordinate vectors that share memory with the
     ambient arrays they stand for (:func:`_search_space`), with the
@@ -393,10 +539,11 @@ def witness_search(e, w, cfg=None):
         return SearchResult(kernel_dim=0, scale=scale, stops=stops)
 
     proj = _projection(w)
+    finish = _finisher(e, w, rows, scale, ambient, coords)
     basis_t = basis.T.copy()
     feas = cfg.tol_feas * max(scale, 1e-300)
     margin = math.inf
-    total_iters = 0
+    total_iters = finish_attempts = finish_steps = 0
     for ridx in range(cfg.restarts):
         rng = derived_rng(cfg.seed, _STREAM_RESTART, ridx)
         x = basis @ rng.standard_normal(kdim)
@@ -411,6 +558,8 @@ def witness_search(e, w, cfg=None):
         budget = cfg.max_iters
         hard_cap = max(20000, cfg.max_iters)
         polishing = False
+        finish_at = _FINISH_AT * scale
+        witness = None
         history = []
         while iters < budget:
             iters += 1
@@ -433,6 +582,16 @@ def witness_search(e, w, cfg=None):
             if not polishing and best_res <= feas:
                 polishing = True
                 budget = min(hard_cap, iters + _POLISH_ITERS)
+            if not polishing and res <= finish_at:
+                finish_at = _FINISH_AT * res
+                q_fin, res_fin, steps = finish(q)
+                finish_attempts += 1
+                finish_steps += steps
+                if res_fin <= feas:
+                    total_iters += steps
+                    witness = Witness(element=q_fin, residual=res_fin,
+                                      restart=ridx, iterations=iters + steps)
+                    break
             # extend the budget while the run is still contracting: slow
             # linear convergence to a genuine intersection can need far
             # more than max_iters, while stalled runs exit via the
@@ -441,7 +600,7 @@ def witness_search(e, w, cfg=None):
                 back = history[-min(len(history), 500)]
                 if res <= 0.5 * back:
                     budget = min(hard_cap, budget + 500)
-            if res <= 1e-14 * scale:
+            if res <= _RESIDUAL_FLOOR_REL * scale:
                 stop = "residual_floor"
                 break
             x_new = basis @ (basis_t @ xv)
@@ -457,19 +616,23 @@ def witness_search(e, w, cfg=None):
                 break
         else:
             stop = "hard_cap" if budget >= hard_cap else "budget"
-        if best_q is not None and best_res <= feas:
-            stops["feasible"] += 1
+        if witness is None and best_q is not None and best_res <= feas:
             if w.kind == KIND_HERM_SIG:
                 best_q = hermitize(best_q)
-            wit = Witness(element=best_q, residual=best_res,
-                          restart=ridx, iterations=iters)
-            return SearchResult(witness=wit, margin=float(margin),
+            witness = Witness(element=best_q, residual=best_res,
+                              restart=ridx, iterations=iters)
+        if witness is not None:
+            stops["feasible"] += 1
+            return SearchResult(witness=witness, margin=float(margin),
                                 restarts_used=ridx + 1, iterations=total_iters,
-                                kernel_dim=kdim, scale=scale, stops=stops)
+                                kernel_dim=kdim, scale=scale, stops=stops,
+                                finish_attempts=finish_attempts,
+                                finish_steps=finish_steps)
         stops[stop] += 1
     return SearchResult(margin=float(margin), restarts_used=cfg.restarts,
                         iterations=total_iters, kernel_dim=kdim, scale=scale,
-                        stops=stops)
+                        stops=stops, finish_attempts=finish_attempts,
+                        finish_steps=finish_steps)
 
 
 # ---------------------------------------------------------------------------

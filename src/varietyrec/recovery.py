@@ -134,7 +134,7 @@ def recover_sparse(e, y, k, cfg=None, truth=None):
 # ---------------------------------------------------------------------------
 
 
-def _gauss_newton(misfit, direction, z, cfg, tol_abs):
+def _gauss_newton(misfit, direction, z, max_iters, tol_abs):
     """One Gauss-Newton run from ``z``: ``misfit(z)`` gives the residual
     ``r`` and the ``aux`` that ``direction(z, r, aux)`` needs for the step.
 
@@ -146,7 +146,7 @@ def _gauss_newton(misfit, direction, z, cfg, tol_abs):
     r, aux = misfit(z)
     res = float(np.linalg.norm(r))
     steps = 0
-    while steps < cfg.max_iters and res > tol_abs:
+    while steps < max_iters and res > tol_abs:
         dz = direction(z, r, aux)
         steps += 1
         eta = 1.0
@@ -177,7 +177,8 @@ def _multistart(misfit, direction, scale, z0, field, stream, cfg, tol_abs):
     for ridx in range(cfg.restarts):
         if ridx:
             z0 = _gauss(derived_rng(cfg.seed, stream, ridx), z0.shape, field)
-        run = _gauss_newton(misfit, direction, scale(z0), cfg, tol_abs)
+        run = _gauss_newton(misfit, direction, scale(z0), cfg.max_iters,
+                            tol_abs)
         iters += run[2]
         if best is None or run[0] < best[0]:
             best = run
@@ -186,14 +187,34 @@ def _multistart(misfit, direction, scale, z0, field, stream, cfg, tol_abs):
     return best[1], best[0], iters
 
 
+def _factor_model(b, r):
+    """Samples ``b @ vec(U V^T)`` of the factors ``z = [U | V]`` (shape
+    (d, 2r)) for rows ``b`` of shape (m, d*d), and the Gauss-Newton
+    direction that fits them: the minimum-norm least-squares solution on
+    the Jacobian blocks ``B_j V`` and ``B_j^T U``, which leaves the r^2
+    directions of the factorization's gauge alone.  Returns the pair
+    ``(samples, direction)``; the direction takes ``(z, res, aux)`` as
+    :func:`_gauss_newton` passes it and ignores ``aux``.
+    """
+    m, d = len(b), math.isqrt(b.shape[1])
+    b3 = b.reshape(m, d, d)
+
+    def samples(z):
+        return b @ (z[:, :r] @ z[:, r:].T).ravel()
+
+    def direction(z, res, _):
+        jac = np.concatenate([b3 @ z[:, r:], b3.mT @ z[:, :r]], 2)
+        dz = np.linalg.lstsq(jac.reshape(m, -1), -res, rcond=None)[0]
+        return dz.reshape(d, 2 * r)
+    return samples, direction
+
+
 def recover_low_rank(e, y, r, cfg=None, truth=None):
     """Rank-<= r recovery by multistart Gauss-Newton on the factors.
 
     The estimate is ``U V^T`` with ``[U | V]`` of shape (d, 2r), fitted to
     ``conj(y_j) = <conj(A_j), U V^T>`` (real ensembles fit ``Re y`` in
-    real arithmetic).  Each step is the minimum-norm least-squares
-    solution, which leaves the r^2 directions of the factorization's gauge
-    alone.  Restart 0 starts from the top-r SVD of ``sum_j conj(y_j)
+    real arithmetic) by the steps of :func:`_factor_model`.  Restart 0 starts from the top-r SVD of ``sum_j conj(y_j)
     A_j``, every later restart from Gaussian factors drawn from
     ``cfg.seed``; each start is first scaled to fit the samples in least
     squares, and the search stops at the first restart that fits.
@@ -210,17 +231,8 @@ def recover_low_rank(e, y, r, cfg=None, truth=None):
     yv = _as_samples(e, y)
     real = e.field == "real"
     stack = e.stack()
-    b = stack.conj()
-    b3 = b.reshape(e.m, d, d)
+    samples, direction = _factor_model(stack.conj(), r)
     t = yv.real if real else yv.conj()
-
-    def samples(z):
-        return b @ (z[:, :r] @ z[:, r:].T).ravel()
-
-    def direction(z, res, _):
-        jac = np.concatenate([b3 @ z[:, r:], b3.mT @ z[:, :r]], 2)
-        dz = np.linalg.lstsq(jac.reshape(e.m, -1), -res, rcond=None)[0]
-        return dz.reshape(d, 2 * r)
 
     def scale(z):
         p = samples(z)

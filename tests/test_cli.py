@@ -303,3 +303,24 @@ def test_sweep_rejects_empty_solver_restarts(capsys, setting):
                  "9:9", "--trials", "1", "--solver-restarts", "0"])
     assert code == 2
     assert "restarts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "-1", "nan", "0"])
+def test_certify_rejects_unusable_tolerance(capsys, value):
+    # an infinite tolerance accepted any search point as a witness of the
+    # injective builtin11 ensemble
+    code = main(["certify", "--ensemble", "builtin11", "--variety",
+                 "low_rank:1", "--field", "real", "--tol", value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error:" in captured.err and "tol_feas" in captured.err
+    assert value in captured.err
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_verify_rejects_no_threshold_seeds(capsys, value):
+    code = main(["verify", "--only", "threshold", "--seeds", value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error:" in captured.err and "--seeds" in captured.err
+    assert "PASS" not in captured.err

@@ -467,6 +467,181 @@ def test_search_refuses_non_finite_projection_input(monkeypatch):
         witness_search(e, w, SearchConfig(restarts=2))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("tol_feas", math.inf), ("tol_feas", math.nan), ("tol_feas", 0.0),
+    ("tol_feas", -1.0), ("margin_threshold", math.inf),
+    ("margin_threshold", math.nan), ("margin_threshold", -1e-6),
+    ("max_iters", -1), ("restarts", -1)])
+def test_search_config_rejects_unusable_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        SearchConfig(**{field: value})
+
+
+def test_search_config_keeps_the_empty_budget():
+    # restarts=0 and a zero margin threshold are settings, not errors
+    cfg = SearchConfig(restarts=0, max_iters=0, margin_threshold=0.0)
+    v = certify(gen_gaussian_matrices(4, 12, "complex", seed=1),
+                VarietySpec.low_rank(4, 1, "complex"), cfg)
+    assert v.status == INCONCLUSIVE and v.margin is None
+
+
+def _failing_finisher(calls):
+    """A stand-in for ``injectivity._finisher`` whose finish always
+    fails, counting its calls in ``calls``."""
+    def finisher(*args):
+        def finish(q0):
+            calls.append(q0)
+            return None, math.inf, 0
+        return finish
+    return finisher
+
+
+def _certify_searches(monkeypatch, cases):
+    """The SearchResult of every witness search that certify runs on the
+    ``(e, signal, cfg)`` cases, in order, with their verdicts."""
+    results = []
+    search = injectivity.witness_search
+
+    def recorded(*args):
+        results.append(search(*args))
+        return results[-1]
+
+    monkeypatch.setattr(injectivity, "witness_search", recorded)
+    verdicts = [certify(e, signal, cfg) for e, signal, cfg in cases]
+    monkeypatch.setattr(injectivity, "witness_search", search)
+    return results, verdicts
+
+
+def test_no_witness_searches_do_not_depend_on_the_finish(monkeypatch):
+    """A finish that fails leaves the projections as they were: on every
+    search that finds no witness, a finish that always fails gives the
+    same margin, restarts and stops, bit for bit."""
+    cases = [(_corpus_ensemble(source, seed), signal,
+              SearchConfig(restarts=restarts, max_iters=max_iters, seed=seed))
+             for (source, signal, restarts, max_iters, seed, status, _,
+                  _) in _CORPUS.values() if status == NO_WITNESS_FOUND]
+    cases.append((builtin11_ensemble(), VarietySpec.low_rank(4, 1, "real"),
+                  SearchConfig()))
+    real, verdicts = _certify_searches(monkeypatch, cases)
+    assert all(v.status == NO_WITNESS_FOUND for v in verdicts)
+    # the real runs try finishes, and every one of them fails
+    assert sum(r.finish_attempts for r in real) > 0
+    calls = []
+    monkeypatch.setattr(injectivity, "_finisher", _failing_finisher(calls))
+    stubbed, _ = _certify_searches(monkeypatch, cases)
+    assert len(calls) == sum(r.finish_attempts for r in real)
+    for a, b in zip(real, stubbed, strict=True):
+        assert (a.margin, a.restarts_used, a.stops) == (
+            b.margin, b.restarts_used, b.stops)
+        assert a.witness is None and b.witness is None
+
+
+def test_projections_still_refute_when_the_finish_fails(monkeypatch):
+    e = gen_gaussian_matrices(4, 11, "complex", seed=1)
+    signal = VarietySpec.low_rank(4, 1, "complex")
+    cfg = SearchConfig(seed=1)
+    finished = certify(e, signal, cfg)
+    calls = []
+    monkeypatch.setattr(injectivity, "_finisher", _failing_finisher(calls))
+    (res,), (v,) = _certify_searches(monkeypatch, [(e, signal, cfg)])
+    assert calls and res.finish_attempts == len(calls)
+    assert res.finish_steps == 0
+    assert v.status == REFUTED_WITH_WITNESS
+    # the projections take many more iterations than the finish did
+    assert v.witness.iterations == res.iterations > finished.iterations
+    _assert_refutation(e, signal, cfg, v)
+
+
+def test_finish_counters():
+    e = gen_gaussian_matrices(4, 11, "complex", seed=2)
+    w = VarietySpec.low_rank(4, 2, "complex")
+    first, again = (witness_search(e, w, SearchConfig(seed=3))
+                    for _ in range(2))
+    assert first.witness is not None
+    assert (first.finish_attempts, first.finish_steps) == (
+        again.finish_attempts, again.finish_steps)
+    assert 1 <= first.finish_attempts and 1 <= first.finish_steps <= (
+        first.finish_attempts * injectivity._FINISH_STEPS)
+    # the witness's count holds the steps of its finish, the search's the
+    # projections of every restart run as well
+    assert first.witness.iterations <= first.iterations
+    # a sparse finish is a null vector, with no steps
+    res = witness_search(gen_gaussian_vectors(8, 3, "real", seed=1),
+                         VarietySpec.sparse(8, 4), SearchConfig(seed=1))
+    assert res.witness is not None
+    assert res.finish_attempts >= 1 and res.finish_steps == 0
+    # a restart that never comes close tries no finish
+    res = witness_search(e, w, SearchConfig(restarts=2, max_iters=1))
+    assert (res.finish_attempts, res.finish_steps) == (0, 0)
+
+
+def _search_scale(e, signal):
+    lifted = e.shape == "vector" and signal.kind == "herm_sig"
+    e_search = lift_ensemble(e) if lifted else e
+    return e_search, _search_space(e_search, difference_closure(signal))[2]
+
+
+def _assert_refutation(e, signal, cfg, v):
+    """``v`` refutes with a unit witness on the difference variety whose
+    samples vanish, and a distinct collision pair."""
+    assert v.status == REFUTED_WITH_WITNESS
+    e_search, scale = _search_scale(e, signal)
+    q = v.witness.element
+    assert abs(np.linalg.norm(q) - 1.0) <= 1e-12
+    assert membership(q, difference_closure(signal))
+    assert v.witness.residual <= cfg.tol_feas * scale
+    assert np.linalg.norm(apply(e_search, q).y) <= cfg.tol_feas * scale
+    x, y = v.collision
+    assert collision_residual(e, signal, x, y) <= 1e-12 * scale
+    assert collision_is_distinct(x, y, signal)
+
+
+# each refutable case: its signal variety, the generator and field of
+# its ensemble, and the largest m at which every such ensemble is
+# non-injective; m is drawn downward from there, so hypothesis starts at
+# the hardest count
+_REFUTABLE = {
+    "low_rank_complex": (_LR_C, gen_gaussian_matrices, "complex", 11),
+    "low_rank_real": (_LR_R, gen_gaussian_matrices, "real", 10),
+    "low_rank_real_on_complex": (_LR_R, gen_gaussian_matrices, "complex", 5),
+    "sparse_real": (VarietySpec.sparse(8, 2), gen_gaussian_vectors, "real",
+                    3),
+    "sparse_complex": (VarietySpec.sparse(8, 2, "complex"),
+                       gen_gaussian_vectors, "complex", 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUTABLE))
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(below=st.integers(0, 4), seed=st.integers(0, 2 ** 16))
+def test_refutations_are_witnessed(case, below, seed):
+    signal, generate, field, top = _REFUTABLE[case]
+    e = generate(signal.d, max(top - below, 1), field, seed=seed)
+    cfg = SearchConfig(restarts=20, seed=seed)
+    _assert_refutation(e, signal, cfg, certify(e, signal, cfg))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(d=st.integers(4, 5), below=st.integers(0, 5),
+       seed=st.integers(0, 2 ** 16))
+def test_herm_sig_refutations_on_vectors(d, below, seed):
+    e = gen_gaussian_vectors(d, 2 * d - 2 - below, "complex", seed=seed)
+    cfg = SearchConfig(restarts=20, seed=seed)
+    signal = VarietySpec.herm_sig(d)
+    _assert_refutation(e, signal, cfg, certify(e, signal, cfg))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), d=st.integers(2, 4), seed=st.integers(0, 2 ** 16))
+def test_herm_sig_refutations_on_hermitian_matrices(data, d, seed):
+    m = 2 * d - 2 - data.draw(st.integers(0, 2 * d - 3))
+    ranks = data.draw(st.lists(st.integers(1, d), min_size=m, max_size=m))
+    e = gen_hermitian_rank(d, ranks, seed=seed)
+    cfg = SearchConfig(restarts=20, seed=seed)
+    signal = VarietySpec.herm_sig(d)
+    _assert_refutation(e, signal, cfg, certify(e, signal, cfg))
+
+
 # ---------------------------------------------------------------------------
 # certify dispatch
 # ---------------------------------------------------------------------------
