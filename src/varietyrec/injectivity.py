@@ -29,8 +29,8 @@ import math
 import numpy as np
 
 from .recovery import _factor_model, _gauss_newton, _misfit
-from .sampling import (MeasurementEnsemble, _gauss, _tau, apply, derived_rng,
-                       lift_ensemble, lift_rank_one)
+from .sampling import (_gauss, _tau, apply, derived_rng, lift_ensemble,
+                       lift_rank_one)
 from .varieties import (KIND_HERM_SIG, KIND_LOW_RANK, KIND_RANK_ONE_REAL,
                         KIND_SPARSE, _norm, _projection, difference_closure,
                         equivalence_distance, hermitize, is_hermitian, project)
@@ -48,9 +48,6 @@ _STREAM_MINOR = 21
 _STREAM_PROBE = 22
 
 _KERNEL_CUTOFF = 1e-10
-# extra iterations granted once a restart reaches feasibility, so the
-# returned witness is polished to the fixed point of both projections
-_POLISH_ITERS = 3000
 # a restart hands its iterate to the Gauss-Newton finish the first time
 # its residual is at most this share of the operator scale, and again at
 # each hundredfold lower residual; each finish takes at most
@@ -69,9 +66,9 @@ _RANK_BLOCK = 1024
 _RESIDUAL_FLOOR = 1e-28
 
 # why a witness-search restart ended (SearchResult.stops): it reached
-# feasibility; its step fell below the fixed-point tolerance; its
-# residual fell to 1e-14 * scale; a start, projection or kernel step had
-# norm zero; it spent its budget; it spent max(20000, max_iters)
+# feasibility; its step fell to 1e-13; its residual fell to 1e-14 *
+# scale; a start, projection or kernel step had norm zero; it spent its
+# budget; it spent max(20000, max_iters)
 STOP_REASONS = ("feasible", "fixed_point", "residual_floor", "zero_norm",
                 "budget", "hard_cap")
 
@@ -321,29 +318,44 @@ def _variety_mode(w):
     return "real" if w.field == "real" else "complex"
 
 
-def _stacked_rows(e, mode):
-    """Real matrix whose kernel (as coordinates) is ker of the sampling
-    map, in one pass over the stacked operators.  The complex mode lays
-    its coordinates out in [Re; Im] blocks here (see :func:`_search_space`).
-
-    The hermitian rows are those of the operators' Hermitian parts; an
-    operator that fails :func:`~varietyrec.varieties.is_hermitian` is
-    refused.
+def _search_operators(e, w):
+    """The operators, one per row, that a search on ``w`` reads from
+    ``e``, once ``w`` fits ``e`` (rank_one_real needs a real ensemble).
+    The quadratic kinds read a vector ensemble through the rank-one
+    lifts of its rows and a matrix one through its operators' Hermitian
+    parts; herm_sig refuses non-Hermitian operators, whose skew parts
+    would sample what the search misses (a real x^T S x is zero).
     """
-    a = e.stack()
-    m = len(a)
+    quadratic = w.kind in (KIND_HERM_SIG, KIND_RANK_ONE_REAL)
+    if w.d != e.d or (not quadratic and w.ambient[0] != e.shape):
+        raise ValueError("variety ambient does not match ensemble shape")
+    if w.kind == KIND_RANK_ONE_REAL and e.field != "real":
+        raise ValueError("real quadratic sampling needs a real ensemble")
+    if not quadratic:
+        return e.operators
+    if e.shape == "vector":
+        return lift_rank_one(e.operators)
+    if w.kind == KIND_HERM_SIG and not is_hermitian(e.operators).all():
+        raise ValueError("herm_sig search needs Hermitian operators")
+    return hermitize(e.operators)
+
+
+def _stacked_rows(ops, mode):
+    """Real matrix whose kernel (as coordinates) is ker of the sampling
+    map of ``ops`` (:func:`_search_operators`).  The complex mode lays
+    its coordinates out in [Re; Im] blocks here (see
+    :func:`_search_space`)."""
+    m = len(ops)
+    a = ops.reshape(m, -1)
     if mode == "real":
-        if e.field == "complex":
+        if np.iscomplexobj(a):
             return np.stack([a.real, a.imag], axis=1).reshape(2 * m, -1)
         return np.array(a, dtype=float)
     if mode == "complex":
         return np.stack([np.concatenate([a.real, a.imag], axis=1),
                          np.concatenate([a.imag, -a.real], axis=1)],
                         axis=1).reshape(2 * m, -1)
-    if not is_hermitian(e.operators).all():
-        raise ValueError("herm_sig search needs Hermitian operators")
-    h = hermitize(e.operators)
-    return (h.real + h.imag).reshape(m, -1)
+    return a.real + a.imag
 
 
 def _kernel_basis(rows):
@@ -365,9 +377,9 @@ def _finite_norm(x):
     return n
 
 
-def _search_space(e, w):
-    """The coordinates witness search iterates on, for the ensemble ``e``
-    and the variety ``w``: ``(rows, basis, scale, ambient, coords)``.
+def _search_space(ops, w):
+    """The coordinates witness search iterates on, for the operators
+    ``ops`` and the variety ``w``: ``(rows, basis, scale, ambient, coords)``.
 
     ``rows`` maps coordinates to the real and imaginary parts of the
     samples; ``basis`` is an orthonormal basis of its kernel and
@@ -382,7 +394,7 @@ def _search_space(e, w):
     from the permuted rows would differ, and so would the seeded starts.
     """
     mode = _variety_mode(w)
-    rows = _stacked_rows(e, mode)
+    rows = _stacked_rows(ops, mode)
     basis, scale = _kernel_basis(rows)
     shape = w.ambient_shape()
     if mode == "hermitian":
@@ -401,9 +413,9 @@ def _search_space(e, w):
 # ---------------------------------------------------------------------------
 
 
-def _finisher(e, w, rows, scale, ambient, coords):
+def _finisher(ops, w, rows, scale, ambient, coords):
     """The Gauss-Newton finish of a witness-search restart, for the
-    search space ``(rows, scale, ambient, coords)`` of :func:`_search_space`.
+    operators ``ops`` it reads and their :func:`_search_space`.
 
     ``finish(q0)`` takes the restart's unit iterate ``q0``, a point of
     ``w``, and fits ``A(q) = 0`` with ``<q0, q> = 1`` on ``w``'s
@@ -451,12 +463,11 @@ def _finisher(e, w, rows, scale, ambient, coords):
         return finish
 
     if w.kind == KIND_HERM_SIG:
-        forms = hermitize(e.operators)
-        target = np.append(np.zeros(e.m), scale)
+        target = np.append(np.zeros(len(ops)), scale)
 
         def finish(q0):
             q0 = hermitize(q0)
-            qforms = np.concatenate([forms, scale * q0[None]])
+            qforms = np.concatenate([ops, scale * q0[None]])
 
             def misfit(z):
                 ru, qu = _misfit(qforms, target, z[:, 0])
@@ -483,7 +494,7 @@ def _finisher(e, w, rows, scale, ambient, coords):
 
     # low_rank and rank_one_real; the real rows read real matrices' entries
     r = w.param
-    b = rows if mode == "real" else e.stack().conj()
+    b = rows if mode == "real" else ops.reshape(len(ops), -1).conj()
     target = np.append(np.zeros(len(b)), scale)
 
     def finish(q0):
@@ -499,7 +510,9 @@ def _finisher(e, w, rows, scale, ambient, coords):
 
 
 def witness_search(e, w, cfg=None):
-    """Search ker(sampling map) for a nonzero element of the variety ``w``.
+    """Search ker(sampling map) for a nonzero element of the variety ``w``,
+    reading the operators of :func:`_search_operators`, so it takes
+    every ensemble that :func:`certify` takes.
 
     Alternates orthogonal projection onto the precomputed kernel with the
     metric projection onto ``w``, renormalizing to unit Frobenius norm
@@ -513,15 +526,16 @@ def witness_search(e, w, cfg=None):
     The first time a restart's residual is at most ``_FINISH_AT`` times
     the scale, and again each time it falls a hundredfold below the
     last try, its iterate goes to a Gauss-Newton finish on ``w``'s
-    parametrization (:func:`_finisher`), unless the restart is already
-    feasible.  A finished point with a feasible residual is the
-    restart's witness and counts as a ``feasible`` stop; otherwise the
-    projections go on from where they were, as if no finish had been
+    parametrization (:func:`_finisher`), unless one of its projections
+    was already feasible.  A finished point with a feasible residual is
+    the restart's witness and counts as a ``feasible`` stop; otherwise
+    the projections go on from where they were, as if no finish had been
     tried, so a search that finds no witness gives the margin, restarts
-    and stops it would give without the finish.  ``iterations`` (and
-    ``Witness.iterations``) count the alternating projections plus the
-    steps of the finish that returned the witness; ``finish_attempts``
-    and ``finish_steps`` count every finish tried.
+    and stops it would give without the finish.  A restart that is
+    feasible without a finish returns its best projection.
+    ``iterations`` (and ``Witness.iterations``) count the alternating
+    projections plus the steps of the finish that returned the witness;
+    ``finish_attempts`` and ``finish_steps`` count every finish tried.
 
     The loop runs on real coordinate vectors that share memory with the
     ambient arrays they stand for (:func:`_search_space`), with the
@@ -530,20 +544,20 @@ def witness_search(e, w, cfg=None):
     input, raises ``ValueError``.
     """
     cfg = cfg or SearchConfig()
-    if w.ambient[0] != e.shape or w.d != e.d:
-        raise ValueError("variety ambient does not match ensemble shape")
-    rows, basis, scale, ambient, coords = _search_space(e, w)
+    ops = _search_operators(e, w)
+    rows, basis, scale, ambient, coords = _search_space(ops, w)
     kdim = basis.shape[1]
     stops = dict.fromkeys(STOP_REASONS, 0)
     if kdim == 0:
         return SearchResult(kernel_dim=0, scale=scale, stops=stops)
 
     proj = _projection(w)
-    finish = _finisher(e, w, rows, scale, ambient, coords)
+    finish = _finisher(ops, w, rows, scale, ambient, coords)
     basis_t = basis.T.copy()
     feas = cfg.tol_feas * max(scale, 1e-300)
     margin = math.inf
     total_iters = finish_attempts = finish_steps = 0
+    witness = None
     for ridx in range(cfg.restarts):
         rng = derived_rng(cfg.seed, _STREAM_RESTART, ridx)
         x = basis @ rng.standard_normal(kdim)
@@ -557,7 +571,6 @@ def witness_search(e, w, cfg=None):
         iters = 0
         budget = cfg.max_iters
         hard_cap = max(20000, cfg.max_iters)
-        polishing = False
         finish_at = _FINISH_AT * scale
         witness = None
         history = []
@@ -577,12 +590,8 @@ def witness_search(e, w, cfg=None):
             history.append(res)
             if res < best_res:
                 best_res, best_q = res, q
-            if res < margin:
-                margin = res
-            if not polishing and best_res <= feas:
-                polishing = True
-                budget = min(hard_cap, iters + _POLISH_ITERS)
-            if not polishing and res <= finish_at:
+            margin = min(margin, res)
+            if best_res > feas and res <= finish_at:
                 finish_at = _FINISH_AT * res
                 q_fin, res_fin, steps = finish(q)
                 finish_attempts += 1
@@ -611,25 +620,23 @@ def witness_search(e, w, cfg=None):
             x_new /= nn
             step = x_new - x
             x = x_new
-            if math.sqrt(step.dot(step)) <= (1e-15 if polishing else 1e-13):
+            if math.sqrt(step.dot(step)) <= 1e-13:
                 stop = "fixed_point"
                 break
         else:
             stop = "hard_cap" if budget >= hard_cap else "budget"
-        if witness is None and best_q is not None and best_res <= feas:
+        if witness is None and best_res <= feas:
             if w.kind == KIND_HERM_SIG:
                 best_q = hermitize(best_q)
             witness = Witness(element=best_q, residual=best_res,
                               restart=ridx, iterations=iters)
         if witness is not None:
             stops["feasible"] += 1
-            return SearchResult(witness=witness, margin=float(margin),
-                                restarts_used=ridx + 1, iterations=total_iters,
-                                kernel_dim=kdim, scale=scale, stops=stops,
-                                finish_attempts=finish_attempts,
-                                finish_steps=finish_steps)
+            break
         stops[stop] += 1
-    return SearchResult(margin=float(margin), restarts_used=cfg.restarts,
+    # each restart run ends in one stop
+    return SearchResult(witness=witness, margin=float(margin),
+                        restarts_used=sum(stops.values()),
                         iterations=total_iters, kernel_dim=kdim, scale=scale,
                         stops=stops, finish_attempts=finish_attempts,
                         finish_steps=finish_steps)
@@ -682,10 +689,9 @@ def collision_residual(e, signal, x, y):
     if signal.kind in (KIND_HERM_SIG, KIND_RANK_ONE_REAL):
         if e.shape == "vector":
             e = lift_ensemble(e)
-        lx, ly = lift_rank_one(x), lift_rank_one(y)
+        x, y = lift_rank_one(x), lift_rank_one(y)
         if signal.kind == KIND_RANK_ONE_REAL:
-            lx, ly = lx.real, ly.real
-        return float(np.linalg.norm(apply(e, lx).y - apply(e, ly).y))
+            x, y = x.real, y.real
     return float(np.linalg.norm(apply(e, x).y - apply(e, y).y))
 
 
@@ -706,11 +712,8 @@ def collision_is_distinct(x, y, signal, tol=1e-8):
 def _null_vector(rows, d):
     """A unit vector orthogonal to every row (rows may be empty)."""
     if len(rows) == 0:
-        v = np.zeros(d)
-        v[0] = 1.0
-        return v
-    a = np.asarray(rows, dtype=float)
-    _, _, vt = np.linalg.svd(a, full_matrices=True)
+        return np.eye(1, d)[0]
+    _, _, vt = np.linalg.svd(rows, full_matrices=True)
     return vt[-1]
 
 
@@ -747,37 +750,15 @@ def certify(e, signal, cfg=None):
     is the full ambient space; the complement property when the signal is
     the real rank-one quadratic lift and m <= 24; otherwise witness
     search on the difference variety.  Refuted verdicts carry a witness
-    and a collision pair.
+    and a collision pair.  Every regime reads the operators of
+    :func:`_search_operators`, which checks that ``signal`` fits ``e``.
     """
     cfg = cfg or SearchConfig()
-    # the quadratic kinds read a vector ensemble through its rank-one lift
-    quadratic = signal.kind in (KIND_HERM_SIG, KIND_RANK_ONE_REAL)
-    if signal.d != e.d or (not quadratic and signal.ambient[0] != e.shape):
-        raise ValueError("variety ambient does not match ensemble shape")
     w = difference_closure(signal)
-
-    vectors = None
-    e_search = e
-    if signal.kind == KIND_RANK_ONE_REAL:
-        if e.field != "real":
-            raise ValueError("real quadratic sampling needs a real ensemble")
-        if e.shape == "vector":
-            vectors = e.operators
-            e_search = lift_ensemble(e)
-        else:
-            vectors = _rank_one_vectors(e)
-            e_search = MeasurementEnsemble(
-                field="real", shape="matrix", d=e.d,
-                operators=hermitize(e.operators), seed=e.seed,
-                hermitian=True)
-    elif signal.kind == KIND_HERM_SIG:
-        # matrix operators go to witness_search as they are: it rejects
-        # non-Hermitian ones and reads each through its Hermitian part
-        if e.shape == "vector":
-            e_search = lift_ensemble(e)
+    ops = _search_operators(e, w)
 
     if w.is_full_space():
-        rows, basis, _, ambient, _ = _search_space(e_search, w)
+        rows, basis, _, ambient, _ = _search_space(ops, w)
         if basis.shape[1] == 0:
             return _decided(signal, cfg)
         x = basis[:, 0].copy()
@@ -785,21 +766,24 @@ def certify(e, signal, cfg=None):
                                              residual=_norm(rows @ x),
                                              restart=0, iterations=0))
 
-    if signal.kind == KIND_RANK_ONE_REAL and vectors is not None and e.m <= 24:
+    vectors = None
+    if signal.kind == KIND_RANK_ONE_REAL and e.m <= 24:
+        vectors = e.operators if e.shape == "vector" else _rank_one_vectors(e)
+    if vectors is not None:
         ok, subset = complement_property(vectors)
         if ok:
             return _decided(signal, cfg)
-        held = set(subset)
-        comp = tuple(j for j in range(e.m) if j not in held)
+        comp = [j for j in range(e.m) if j not in subset]
         u = _null_vector(vectors[list(subset)], e.d)
-        v = _null_vector(vectors[list(comp)], e.d)
+        v = _null_vector(vectors[comp], e.d)
         q = np.outer(u, v)
         q = q / np.linalg.norm(q)
-        res = float(np.linalg.norm(apply(e_search, q).y))
-        return _decided(signal, cfg, Witness(element=q, residual=res,
+        # complex128, as apply gives the samples: the residual keeps its bits
+        y = (ops.reshape(e.m, -1) @ q.ravel()).astype(complex)
+        return _decided(signal, cfg, Witness(element=q, residual=_norm(y),
                                              restart=0, iterations=0))
 
-    result = witness_search(e_search, w, cfg)
+    result = witness_search(e, w, cfg)
     if result.kernel_dim == 0 or result.witness is not None:
         return _decided(signal, cfg, result.witness, result.restarts_used,
                         result.iterations)
@@ -1092,8 +1076,7 @@ def verify_kernel_minor_system(e, restarts=500, max_iters=250, seed=0, r=2):
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
-    rows = _stacked_rows(e, "real")
-    basis, _ = _kernel_basis(rows)
+    basis, _ = _kernel_basis(_stacked_rows(e.operators, "real"))
     kdim = basis.shape[1]
     if kdim == 0:
         return MinorSystemResult(min_residual=math.inf, argmin=None, restarts=0)

@@ -65,6 +65,8 @@ def array_to_json(a):
 
 def array_from_json(obj, field="complex"):
     """Decode :func:`array_to_json` output; ``field='real'`` drops (and checks) "im"."""
+    if not isinstance(obj, dict):
+        raise ValueError('an array must be a JSON object with "re" and "im"')
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
     if re.shape != im.shape:

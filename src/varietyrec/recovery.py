@@ -38,9 +38,13 @@ class RecoverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError(
-                f"restarts must be at least 1, got {self.restarts}")
+        if not (math.isfinite(self.tol_fit) and self.tol_fit > 0):
+            raise ValueError("tol_fit must be finite and positive, got "
+                             f"{self.tol_fit}")
+        for name, low in (("max_iters", 0), ("restarts", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got "
+                                 f"{getattr(self, name)}")
 
 
 # recover_phase's default: near the minimal sample count a random start

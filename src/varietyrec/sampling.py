@@ -307,6 +307,10 @@ def ensemble_to_json(e):
 
 
 def ensemble_from_json(obj):
+    if not (isinstance(obj, dict)
+            and isinstance(obj.get("operators", []), list)):
+        raise ValueError("an ensemble must be a JSON object whose "
+                         "'operators' is a list")
     try:
         ops = [jsonio.array_from_json(o, obj["field"])
                for o in obj["operators"]]
@@ -319,6 +323,8 @@ def ensemble_from_json(obj):
         )
     except KeyError as exc:
         raise ValueError(f"ensemble JSON lacks key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed ensemble JSON: {exc}") from None
 
 
 def save_ensemble(path, e):
@@ -338,11 +344,15 @@ def samples_to_json(s):
 
 
 def samples_from_json(obj):
+    if not isinstance(obj, dict):
+        raise ValueError("samples must be a JSON object")
     try:
         return SampleVector(y=jsonio.array_from_json(obj["y"]),
                             provenance=obj.get("provenance"))
     except KeyError as exc:
         raise ValueError(f"samples JSON lacks key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed samples JSON: {exc}") from None
 
 
 def save_samples(path, s):

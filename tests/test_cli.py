@@ -324,3 +324,69 @@ def test_verify_rejects_no_threshold_seeds(capsys, value):
     assert code == 2 and captured.out == ""
     assert "error:" in captured.err and "--seeds" in captured.err
     assert "PASS" not in captured.err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_recover_rejects_unusable_tolerance(capsys, tmp_path, value):
+    # an infinite tolerance called random samples a converged fit
+    epath, ypath = tmp_path / "e.json", tmp_path / "y.json"
+    main(["generate", "--kind", "gaussian_matrices", "--d", "3", "--m", "9",
+          "--out", str(epath)])
+    save_samples(ypath, SampleVector(np.random.default_rng(0)
+                                     .standard_normal(9)))
+    capsys.readouterr()
+    code = main(["recover", "--ensemble", str(epath), "--samples",
+                 str(ypath), "--variety", "low_rank:1", "--tol", value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error:" in captured.err and "tol_fit" in captured.err
+
+
+@pytest.mark.parametrize("setting", [["phase"], ["low_rank", "--r", "1"]])
+def test_sweep_rejects_negative_max_iters(capsys, setting):
+    # a negative cap ran no step and scored every trial a failure
+    code = main(["sweep", "--setting", *setting, "--d", "3", "--m-range",
+                 "9:9", "--trials", "1", "--max-iters", "-5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error:" in captured.err and "max_iters" in captured.err
+
+
+def _write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+_ENSEMBLE_DOC = {"field": "real", "shape": "matrix", "d": 1, "m": 1,
+                 "operators": [{"re": [[1.0]], "im": [[0.0]]}]}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([_ENSEMBLE_DOC], "an ensemble must be a JSON object"),
+    ({**_ENSEMBLE_DOC, "operators": {"re": [[1.0]], "im": [[0.0]]}},
+     "an ensemble must be a JSON object whose 'operators' is a list"),
+    ({**_ENSEMBLE_DOC, "operators": [[[1.0]]]},
+     "an array must be a JSON object"),
+    ({**_ENSEMBLE_DOC, "m": [1]}, "malformed ensemble JSON"),
+    ({**_ENSEMBLE_DOC, "ranks": 1}, "malformed ensemble JSON"),
+    ({**_ENSEMBLE_DOC, "operators": [{"re": {"a": 1}}]},
+     "malformed ensemble JSON")])
+def test_malformed_ensemble_json_is_refused(capsys, tmp_path, doc, message):
+    path = _write_json(tmp_path / "e.json", doc)
+    code = main(["certify", "--ensemble", path, "--variety", "low_rank:1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
+def test_samples_y_that_is_a_list_is_refused(capsys, tmp_path):
+    epath = tmp_path / "e.json"
+    main(["generate", "--d", "3", "--m", "4", "--out", str(epath)])
+    ypath = _write_json(tmp_path / "y.json", {"m": 4, "y": [1, 2, 3, 4]})
+    capsys.readouterr()
+    code = main(["recover", "--ensemble", str(epath), "--samples", ypath,
+                 "--variety", "sparse:1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error: an array must be a JSON object" in captured.err
+

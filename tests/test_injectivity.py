@@ -18,10 +18,11 @@ from varietyrec import (CERTIFIED_EXACT, INCONCLUSIVE, NO_WITNESS_FOUND,
                         membership, minor_residual, symmetric_sampler,
                         verify_kernel_minor_system, witness_search,
                         witness_to_collision)
-from varietyrec import injectivity, sampling
+from varietyrec import cli, injectivity, jsonio, sampling
 from varietyrec.injectivity import (POLISH_STOPS, STOP_REASONS,
                                     _kernel_basis, _minor_objective,
-                                    _minor_residual_and_grad, _search_space,
+                                    _minor_residual_and_grad,
+                                    _search_operators, _search_space,
                                     _sphere_bfgs, _sphere_descent,
                                     _stacked_rows)
 from varietyrec.sampling import derived_rng, tau, tau_inverse
@@ -316,9 +317,8 @@ def test_certify_answers_are_preserved(name):
     else:
         assert abs(v.margin - margin) <= 1e-9 * margin
     if status == REFUTED_WITH_WITNESS:
-        lifted = e.shape == "vector" and signal.kind == "herm_sig"
-        e_search = lift_ensemble(e) if lifted else e
-        scale = _search_space(e_search, difference_closure(signal))[2]
+        w = difference_closure(signal)
+        scale = _search_space(_search_operators(e, w), w)[2]
         assert v.witness.residual <= cfg.tol_feas * scale
         x, y = v.collision
         assert collision_residual(e, signal, x, y) <= 1e-12 * scale
@@ -329,7 +329,7 @@ def _block_start(e, w, seed, ridx):
     """A restart's unit start in the [Re; Im] block layout, read as an
     ambient array."""
     mode = injectivity._variety_mode(w)
-    basis, _ = _kernel_basis(_stacked_rows(e, mode))
+    basis, _ = _kernel_basis(_stacked_rows(e.operators, mode))
     rng = derived_rng(seed, injectivity._STREAM_RESTART, ridx)
     x = basis @ rng.standard_normal(basis.shape[1])
     x = x / np.linalg.norm(x)
@@ -382,7 +382,7 @@ def test_search_coordinates_share_memory_with_the_ambient_array():
               VarietySpec.low_rank(4, 2, "real"))]
     rng = np.random.default_rng(0)
     for e, w in cases:
-        rows, basis, _, ambient, coords = _search_space(e, w)
+        rows, basis, _, ambient, coords = _search_space(e.operators, w)
         x = basis @ rng.standard_normal(basis.shape[1])
         a = ambient(x)
         assert a.shape == w.ambient_shape() and np.shares_memory(a, x)
@@ -578,7 +578,8 @@ def test_finish_counters():
 def _search_scale(e, signal):
     lifted = e.shape == "vector" and signal.kind == "herm_sig"
     e_search = lift_ensemble(e) if lifted else e
-    return e_search, _search_space(e_search, difference_closure(signal))[2]
+    w = difference_closure(signal)
+    return e_search, _search_space(_search_operators(e, w), w)[2]
 
 
 def _assert_refutation(e, signal, cfg, v):
@@ -706,7 +707,6 @@ def test_certify_real_pr_complement_paths():
     assert collision_residual(e4, VarietySpec.rank_one_real(3), x, y) <= 1e-8
     assert collision_is_distinct(x, y, VarietySpec.rank_one_real(3))
     # lifted rank-one matrix ensembles take the same exact path
-    from varietyrec import lift_ensemble
     assert certify(lift_ensemble(e),
                    VarietySpec.rank_one_real(3)).status == CERTIFIED_EXACT
 
@@ -737,10 +737,56 @@ def test_certify_matches_complement_property_on_rank_one_lifts():
         seed = int(rng.integers(10 ** 6))
         e = gen_gaussian_vectors(d, m, "real", seed=seed)
         ok, _ = complement_property(np.stack(e.operators))
-        from varietyrec import lift_ensemble
         res = witness_search(lift_ensemble(e), VarietySpec.rank_one_real(d),
                              SearchConfig(restarts=60))
         assert (res.witness is None) == ok
+
+
+def _search_fields(res):
+    """Every field of a SearchResult, the witness element as its bytes."""
+    w = res.witness
+    witness = None if w is None else (w.element.dtype, w.element.tobytes(),
+                                      w.residual, w.restart, w.iterations)
+    return (witness, res.margin, res.restarts_used, res.iterations,
+            res.kernel_dim, res.scale, res.stops, res.finish_attempts,
+            res.finish_steps)
+
+
+@pytest.mark.parametrize("e,w", [
+    (gen_gaussian_vectors(4, 8, "complex", seed=2), VarietySpec.herm_sig(4)),
+    (gen_gaussian_vectors(3, 8, "complex", seed=1), VarietySpec.herm_sig(3)),
+    (gen_gaussian_vectors(3, 6, "real", seed=1), VarietySpec.herm_sig(3)),
+    (gen_gaussian_vectors(3, 4, "real", seed=2),
+     VarietySpec.rank_one_real(3)),
+    (gen_gaussian_vectors(3, 26, "real", seed=1),
+     VarietySpec.rank_one_real(3))])
+def test_witness_search_reads_a_vector_ensemble_as_its_lift(e, w):
+    cfg = SearchConfig(restarts=20, max_iters=200, seed=1)
+    assert _search_fields(witness_search(e, w, cfg)) == _search_fields(
+        witness_search(lift_ensemble(e), w, cfg))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data(), herm=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_certify_reads_a_vector_ensemble_as_its_lift(data, herm, seed):
+    # rank_one_real at m <= 24 takes the complement property, on the
+    # vectors or on a frame extracted from their lifts, so the two
+    # witnesses need not agree there
+    if herm:
+        d = data.draw(st.integers(2, 4))
+        m = data.draw(st.integers(1, 4 * d))
+        field = data.draw(st.sampled_from(("real", "complex")))
+        signal = VarietySpec.herm_sig(d)
+    else:
+        d = data.draw(st.integers(2, 3))
+        m = data.draw(st.integers(25, 30))
+        field = "real"
+        signal = VarietySpec.rank_one_real(d)
+    e = gen_gaussian_vectors(d, m, field, seed=seed)
+    cfg = SearchConfig(restarts=4, max_iters=100, seed=seed)
+    texts = [jsonio.dumps(cli._verdict_json(certify(x, signal, cfg)))
+             for x in (e, lift_ensemble(e))]
+    assert texts[0] == texts[1]
 
 
 def test_certify_rejects_non_signal_variety():
@@ -1022,7 +1068,7 @@ def test_sphere_descent_rows_are_independent(seed, near, far, noise,
     p /= np.linalg.norm(p)
     ops = [g - np.sum(g * p) * p for g in rng.standard_normal((5, 4, 4))]
     e = MeasurementEnsemble("real", "matrix", 4, ops)
-    basis, _ = _kernel_basis(_stacked_rows(e, "real"))
+    basis, _ = _kernel_basis(_stacked_rows(e.operators, "real"))
     kdim = basis.shape[1]
     planted = basis.T @ p.ravel()
     starts = np.concatenate([
@@ -1071,7 +1117,7 @@ def test_minor_polish_is_no_worse_than_gradient_descent():
                   (_planted_rank2(np.random.default_rng(s))[0], 2, 40, 15, s)]
     floor = injectivity._RESIDUAL_FLOOR
     for i, (e, r, restarts, max_iters, seed) in enumerate(cases):
-        basis, _ = _kernel_basis(_stacked_rows(e, "real"))
+        basis, _ = _kernel_basis(_stacked_rows(e.operators, "real"))
         fg, calls = _counted(_minor_objective(basis, e.d, r))
         starts = np.array([derived_rng(seed, 21, j).standard_normal(
             basis.shape[1]) for j in range(restarts)])
@@ -1097,7 +1143,7 @@ def test_sphere_bfgs_on_planted_kernels(seed, noise, max_iters):
     # its start
     rng = np.random.default_rng(seed)
     e, p = _planted_rank2(rng)
-    basis, _ = _kernel_basis(_stacked_rows(e, "real"))
+    basis, _ = _kernel_basis(_stacked_rows(e.operators, "real"))
     kdim = basis.shape[1]
     fg = _minor_objective(basis, 4, 2)
     near = basis.T @ p.ravel() + noise * rng.standard_normal(kdim)

@@ -276,7 +276,6 @@ def test_recover_phase_lift_consistency():
     y = np.abs(e.stack().conj() @ x) ** 2
     out = recover_phase(e, y)
     if out.converged:
-        from varietyrec import lift_ensemble
         lifted = apply(lift_ensemble(e), lift_rank_one(out.estimate)).y
         assert np.linalg.norm(lifted.real - y) <= 1e-6 * np.linalg.norm(y)
         # phase normalization: largest-magnitude entry is real positive
