@@ -29,8 +29,7 @@ import math
 import numpy as np
 
 from .recovery import _factor_model, _gauss_newton, _misfit
-from .sampling import (_gauss, _tau, apply, derived_rng, lift_ensemble,
-                       lift_rank_one)
+from .sampling import _gauss, _tau, apply, derived_rng, lift_rank_one
 from .varieties import (KIND_HERM_SIG, KIND_LOW_RANK, KIND_RANK_ONE_REAL,
                         KIND_SPARSE, _norm, _projection, difference_closure,
                         equivalence_distance, hermitize, is_hermitian, project)
@@ -67,10 +66,10 @@ _RESIDUAL_FLOOR = 1e-28
 
 # why a witness-search restart ended (SearchResult.stops): it reached
 # feasibility; its step fell to 1e-13; its residual fell to 1e-14 *
-# scale; a start, projection or kernel step had norm zero; it spent its
-# budget; it spent max(20000, max_iters)
+# scale; a start, projection or kernel step had norm zero; it ran its
+# max_iters projections
 STOP_REASONS = ("feasible", "fixed_point", "residual_floor", "zero_norm",
-                "budget", "hard_cap")
+                "budget")
 
 # why the minor system's polish ended (MinorSystemResult.polish_stop): its
 # residual fell to _RESIDUAL_FLOOR; its tangent gradient vanished; no
@@ -516,7 +515,8 @@ def witness_search(e, w, cfg=None):
 
     Alternates orthogonal projection onto the precomputed kernel with the
     metric projection onto ``w``, renormalizing to unit Frobenius norm
-    each iteration, over ``cfg.restarts`` independent seeded starts.
+    each iteration, over ``cfg.restarts`` independent seeded starts; each
+    restart runs at most ``cfg.max_iters`` projections.
     Feasibility means sample residual at most ``tol_feas`` times the
     operator scale.  The returned margin is the smallest residual seen at
     any unit-norm variety point that the projections visited, across all
@@ -543,8 +543,13 @@ def witness_search(e, w, cfg=None):
     A non-finite start or kernel step, and so a non-finite projection
     input, raises ``ValueError``.
     """
+    return _witness_search(_search_operators(e, w), w, cfg)
+
+
+def _witness_search(ops, w, cfg=None):
+    """:func:`witness_search` on the operators ``ops`` that
+    :func:`_search_operators` read for ``w``."""
     cfg = cfg or SearchConfig()
-    ops = _search_operators(e, w)
     rows, basis, scale, ambient, coords = _search_space(ops, w)
     kdim = basis.shape[1]
     stops = dict.fromkeys(STOP_REASONS, 0)
@@ -568,14 +573,10 @@ def witness_search(e, w, cfg=None):
         x /= nx
         best_res = math.inf
         best_q = None
-        iters = 0
-        budget = cfg.max_iters
-        hard_cap = max(20000, cfg.max_iters)
         finish_at = _FINISH_AT * scale
         witness = None
-        history = []
-        while iters < budget:
-            iters += 1
+        stop = "budget"
+        for iters in range(1, cfg.max_iters + 1):
             total_iters += 1
             q = proj(ambient(x), w)
             flat = q.reshape(-1).view(float)
@@ -587,7 +588,6 @@ def witness_search(e, w, cfg=None):
             xv = coords(q)
             r = rows @ xv
             res = math.sqrt(r.dot(r))
-            history.append(res)
             if res < best_res:
                 best_res, best_q = res, q
             margin = min(margin, res)
@@ -601,14 +601,6 @@ def witness_search(e, w, cfg=None):
                     witness = Witness(element=q_fin, residual=res_fin,
                                       restart=ridx, iterations=iters + steps)
                     break
-            # extend the budget while the run is still contracting: slow
-            # linear convergence to a genuine intersection can need far
-            # more than max_iters, while stalled runs exit via the
-            # fixed-point break long before this matters
-            if iters >= budget - 1 and budget < hard_cap:
-                back = history[-min(len(history), 500)]
-                if res <= 0.5 * back:
-                    budget = min(hard_cap, budget + 500)
             if res <= _RESIDUAL_FLOOR_REL * scale:
                 stop = "residual_floor"
                 break
@@ -623,8 +615,6 @@ def witness_search(e, w, cfg=None):
             if math.sqrt(step.dot(step)) <= 1e-13:
                 stop = "fixed_point"
                 break
-        else:
-            stop = "hard_cap" if budget >= hard_cap else "budget"
         if witness is None and best_res <= feas:
             if w.kind == KIND_HERM_SIG:
                 best_q = hermitize(best_q)
@@ -685,13 +675,18 @@ def witness_to_collision(q, signal):
 
 def collision_residual(e, signal, x, y):
     """Sample disagreement of a collision pair (lifted for the quadratic
-    kinds); small values confirm the pair is indistinguishable."""
+    kinds); small values confirm the pair is indistinguishable.  A vector
+    ensemble samples the lifts through its rows' lifts, with the product
+    :func:`~varietyrec.sampling.apply` takes on the lifted ensemble."""
     if signal.kind in (KIND_HERM_SIG, KIND_RANK_ONE_REAL):
-        if e.shape == "vector":
-            e = lift_ensemble(e)
         x, y = lift_rank_one(x), lift_rank_one(y)
         if signal.kind == KIND_RANK_ONE_REAL:
             x, y = x.real, y.real
+        if e.shape == "vector":
+            a = lift_rank_one(e.operators).reshape(e.m, -1)
+            gap = a @ x.conj().ravel() - a @ y.conj().ravel()
+            # complex128, as apply gives the samples: the norm keeps its bits
+            return float(np.linalg.norm(gap.astype(complex)))
     return float(np.linalg.norm(apply(e, x).y - apply(e, y).y))
 
 
@@ -783,7 +778,7 @@ def certify(e, signal, cfg=None):
         return _decided(signal, cfg, Witness(element=q, residual=_norm(y),
                                              restart=0, iterations=0))
 
-    result = witness_search(e, w, cfg)
+    result = _witness_search(ops, w, cfg)
     if result.kernel_dim == 0 or result.witness is not None:
         return _decided(signal, cfg, result.witness, result.restarts_used,
                         result.iterations)
@@ -1114,6 +1109,8 @@ def admissibility_probe(variety_sampler, functional, n_samples, seed=0):
     clearly does not vanish, otherwise ``vanishes_on_all_samples`` (the
     probe's evidence that the whole variety sits inside the hyperplane).
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     functional = np.asarray(functional)
     nf = float(np.linalg.norm(functional))
     if nf == 0.0:

@@ -148,6 +148,15 @@ def test_demo_admissibility(capsys):
     assert doc["e11"]["status"] == "non_degenerate"
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_demo_admissibility_rejects_no_samples(capsys, value):
+    code = main(["demo-admissibility", "--samples", value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error:" in captured.err and "n_samples" in captured.err
+    assert "vanishes_on_all_samples" not in captured.err
+
+
 def test_error_exit_code(capsys):
     code, _ = _run(capsys, "certify", "--variety", "low_rank:4:1")
     assert code == 2

@@ -232,7 +232,7 @@ _CORPUS = {
     "low_rank_real_m10": (("matrices", 4, 10, "real"), _LR_R, 6, 300, 1,
                           _R, 1, None),
     "low_rank_real_m11": (("matrices", 4, 11, "real"), _LR_R, 6, 300, 2,
-                          _N, 6, 0.02361959309415452),
+                          _N, 6, 0.024261487472521492),
     "low_rank_real_m11_first": (("matrices", 4, 11, "real"), _LR_R, 6, 300,
                                 5, _R, 1, None),
     "low_rank_real_m11_second": (("matrices", 4, 11, "real"), _LR_R, 6,
@@ -500,15 +500,15 @@ def _certify_searches(monkeypatch, cases):
     """The SearchResult of every witness search that certify runs on the
     ``(e, signal, cfg)`` cases, in order, with their verdicts."""
     results = []
-    search = injectivity.witness_search
+    search = injectivity._witness_search
 
     def recorded(*args):
         results.append(search(*args))
         return results[-1]
 
-    monkeypatch.setattr(injectivity, "witness_search", recorded)
+    monkeypatch.setattr(injectivity, "_witness_search", recorded)
     verdicts = [certify(e, signal, cfg) for e, signal, cfg in cases]
-    monkeypatch.setattr(injectivity, "witness_search", search)
+    monkeypatch.setattr(injectivity, "_witness_search", search)
     return results, verdicts
 
 
@@ -539,7 +539,7 @@ def test_no_witness_searches_do_not_depend_on_the_finish(monkeypatch):
 def test_projections_still_refute_when_the_finish_fails(monkeypatch):
     e = gen_gaussian_matrices(4, 11, "complex", seed=1)
     signal = VarietySpec.low_rank(4, 1, "complex")
-    cfg = SearchConfig(seed=1)
+    cfg = SearchConfig(seed=1, max_iters=2000)
     finished = certify(e, signal, cfg)
     calls = []
     monkeypatch.setattr(injectivity, "_finisher", _failing_finisher(calls))
@@ -550,6 +550,49 @@ def test_projections_still_refute_when_the_finish_fails(monkeypatch):
     # the projections take many more iterations than the finish did
     assert v.witness.iterations == res.iterations > finished.iterations
     _assert_refutation(e, signal, cfg, v)
+
+
+def test_each_restart_runs_its_budget_and_no_more(monkeypatch):
+    """builtin11 is injective, so both restarts run their 500 projections
+    to the end."""
+    cfg = SearchConfig(restarts=2, seed=0)
+    (res,), (v,) = _certify_searches(
+        monkeypatch, [(builtin11_ensemble(),
+                       VarietySpec.low_rank(4, 1, "real"), cfg)])
+    assert v.status == NO_WITNESS_FOUND
+    assert v.iterations == res.iterations == 2 * cfg.max_iters
+    assert res.stops["budget"] == 2 == res.restarts_used
+
+
+# injective ensembles (builtin11, and generic Gaussian ones at the
+# paper's counts), so a search on them finds no witness
+_NO_WITNESS = {
+    "builtin11": (lambda seed: builtin11_ensemble(), _LR_R),
+    "low_rank_complex_m12": (
+        lambda seed: gen_gaussian_matrices(4, 12, "complex", seed=seed),
+        _LR_C),
+    "sparse_m4": (lambda seed: gen_gaussian_vectors(8, 4, "real", seed=seed),
+                  VarietySpec.sparse(8, 2)),
+}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=st.sampled_from(sorted(_NO_WITNESS)), seed=st.integers(0, 2 ** 16),
+       restarts=st.integers(1, 3), max_iters=st.integers(1, 150))
+def test_no_witness_searches_spend_a_fixed_budget(case, seed, restarts,
+                                                  max_iters):
+    """Each restart's iterates are a prefix of those it runs on a larger
+    budget: doubling the budget keeps the restarts and never raises the
+    margin."""
+    generate, signal = _NO_WITNESS[case]
+    e, w = generate(seed), difference_closure(signal)
+    res, longer = (witness_search(e, w, SearchConfig(
+        restarts=restarts, max_iters=n, seed=seed))
+        for n in (max_iters, 2 * max_iters))
+    assert res.witness is None and longer.witness is None
+    assert res.iterations <= restarts * max_iters
+    assert longer.restarts_used == res.restarts_used
+    assert longer.margin <= res.margin
 
 
 def test_finish_counters():
@@ -709,6 +752,22 @@ def test_certify_real_pr_complement_paths():
     # lifted rank-one matrix ensembles take the same exact path
     assert certify(lift_ensemble(e),
                    VarietySpec.rank_one_real(3)).status == CERTIFIED_EXACT
+
+
+@pytest.mark.parametrize("field,signal", [
+    ("real", VarietySpec.rank_one_real(4)), ("real", VarietySpec.herm_sig(4)),
+    ("complex", VarietySpec.herm_sig(4))])
+def test_collision_residual_on_vectors_samples_as_the_lifted_ensemble(
+        field, signal):
+    e = gen_gaussian_vectors(4, 9, field, seed=5)
+    x, y = gen_gaussian_vectors(4, 2, field, seed=6).operators
+    lx, ly = lift_rank_one(x), lift_rank_one(y)
+    if signal.kind == "rank_one_real":
+        lx, ly = lx.real, ly.real
+    lifted = lift_ensemble(e)
+    want = float(np.linalg.norm(apply(lifted, lx).y - apply(lifted, ly).y))
+    assert want > 0
+    assert collision_residual(e, signal, x, y) == want
 
 
 def test_certify_hermitian_small_case():
@@ -1207,3 +1266,10 @@ def test_admissibility_probe_examples():
     assert out.status == NON_DEGENERATE
     with pytest.raises(ValueError):
         admissibility_probe(symmetric_sampler(2), np.zeros((2, 2)), 10)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_admissibility_probe_needs_a_sample(n):
+    # a probe that checks no sample has no verdict
+    with pytest.raises(ValueError, match="n_samples"):
+        admissibility_probe(symmetric_sampler(2), corner_skew(2), n)
